@@ -106,7 +106,7 @@ func main() {
 	dumpIR := flag.Bool("ir", false, "dump the lowered IR and exit")
 	showStats := flag.Bool("stats", false, "print graph statistics")
 	repl := flag.Bool("repl", false, "interactive mode: read criteria from stdin (var NAME | addr N | algo opt|fp|lp | quit)")
-	compact := flag.Bool("compact", true, "store dependence labels as delta-varint blocks (-compact=false keeps flat pairs)")
+	compact := flag.Bool("compact", true, "store dependence labels as bit-packed blocks (-compact=false keeps flat pairs)")
 	metricsOut := flag.String("metrics", "", "write a telemetry JSON snapshot to this file on exit")
 	explainSpec := flag.String("explain", "", "with -var/-addr: print a dependence-path witness for this slice statement (source line number, or s<ID> for a statement id) plus the query's traversal profile")
 	timelineOut := flag.String("timeline", "", "write a Chrome trace-event timeline (phase spans + pipeline worker activity) to this file on exit; open in chrome://tracing or Perfetto")

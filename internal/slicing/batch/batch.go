@@ -68,16 +68,8 @@ type Config struct {
 	NumStmts int
 	// Expand resolves one traversal point. It is called at most once per
 	// unique key per winner (racing losers' results are discarded); stats
-	// must count only this key's resolution work. scratch is the
-	// caller's per-worker state from NewScratch (nil when unset).
-	Expand func(k Key, stats *slicing.Stats, scratch any) *Expansion
-	// NewScratch builds per-worker expansion state (e.g. label-block
-	// cursor caches). Optional.
-	NewScratch func() any
-	// FinishScratch is called once per worker after the pool drains, on
-	// the caller's goroutine, so per-worker scratch tallies (cursor hit
-	// counts) can be folded into caller-side counters. Optional.
-	FinishScratch func(any)
+	// must count only this key's resolution work.
+	Expand func(k Key, stats *slicing.Stats) *Expansion
 }
 
 // Task is a seed for Run: a traversal point and the criterion bits that
@@ -106,11 +98,7 @@ func Run(cfg Config, seeds []Task) ([]uint64, slicing.Stats, Counters) {
 	r := &runner{cfg: cfg, table: newTable(nw)}
 	r.workers = make([]*worker, nw)
 	for i := range r.workers {
-		w := &worker{masks: make([]uint64, cfg.NumStmts)}
-		if cfg.NewScratch != nil {
-			w.scratch = cfg.NewScratch()
-		}
-		r.workers[i] = w
+		r.workers[i] = &worker{masks: make([]uint64, cfg.NumStmts)}
 	}
 	// Seeds are dealt round-robin so the pool starts balanced; stealing
 	// rebalances from there.
@@ -129,11 +117,6 @@ func Run(cfg Config, seeds []Task) ([]uint64, slicing.Stats, Counters) {
 			}(i)
 		}
 		wg.Wait()
-	}
-	if cfg.FinishScratch != nil {
-		for _, w := range r.workers {
-			cfg.FinishScratch(w.scratch)
-		}
 	}
 	masks := r.workers[0].masks
 	stats := r.workers[0].stats
@@ -155,18 +138,20 @@ func Run(cfg Config, seeds []Task) ([]uint64, slicing.Stats, Counters) {
 }
 
 type worker struct {
-	mu      sync.Mutex
-	dq      []Task
-	masks   []uint64
-	stats   slicing.Stats
-	ctr     Counters
-	scratch any
+	mu    sync.Mutex
+	dq    []Task
+	masks []uint64
+	stats slicing.Stats
+	ctr   Counters
 }
 
 type runner struct {
 	cfg     Config
 	table   *table
 	workers []*worker
+	// pending is written by every worker on every push and pop; the pad
+	// keeps it off the cache line holding the read-mostly fields above.
+	_       [64]byte
 	pending atomic.Int64
 }
 
@@ -257,7 +242,7 @@ func (r *runner) process(w *worker, t Task) {
 	exp := t.e.exp.Load()
 	if exp == nil {
 		var delta slicing.Stats
-		computed := r.cfg.Expand(t.K, &delta, w.scratch)
+		computed := r.cfg.Expand(t.K, &delta)
 		if t.e.exp.CompareAndSwap(nil, computed) {
 			// Publishing winner: its resolution work is the one counted,
 			// so stats are per-unique-key no matter how many workers

@@ -16,7 +16,7 @@ const (
 	synStmts = 257
 )
 
-func synExpand(k Key, stats *slicing.Stats, _ any) *Expansion {
+func synExpand(k Key, stats *slicing.Stats) *Expansion {
 	stats.Instances++
 	stats.LabelProbes += 2
 	i := k.K1
@@ -96,41 +96,6 @@ func TestRunHammer(t *testing.T) {
 		if ctr.Expansions <= 0 {
 			t.Fatalf("rep %d: no expansions counted", rep)
 		}
-	}
-}
-
-// TestScratchLifecycle: NewScratch runs once per started worker and
-// FinishScratch sees every scratch exactly once, after the pool drains.
-func TestScratchLifecycle(t *testing.T) {
-	type scratch struct{ expansions int }
-	var mu sync.Mutex
-	var finished []*scratch
-	cfg := Config{
-		Workers:  4,
-		NumStmts: synStmts,
-		Expand: func(k Key, stats *slicing.Stats, sc any) *Expansion {
-			sc.(*scratch).expansions++
-			return synExpand(k, stats, nil)
-		},
-		NewScratch: func() any { return &scratch{} },
-		FinishScratch: func(sc any) {
-			mu.Lock()
-			finished = append(finished, sc.(*scratch))
-			mu.Unlock()
-		},
-	}
-	_, _, ctr := Run(cfg, synSeeds(16))
-	if len(finished) != ctr.WorkersUsed {
-		t.Fatalf("FinishScratch ran %d times, want %d", len(finished), ctr.WorkersUsed)
-	}
-	var total int
-	for _, sc := range finished {
-		total += sc.expansions
-	}
-	// Racing losers also call Expand, so the per-scratch total is >= the
-	// published expansion count — never less.
-	if int64(total) < ctr.Expansions {
-		t.Fatalf("scratch saw %d expansions, published %d", total, ctr.Expansions)
 	}
 }
 

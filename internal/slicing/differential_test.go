@@ -381,7 +381,7 @@ func TestFullMatrixAgainstOracle(t *testing.T) {
 
 // TestCompactMatchesPlain checks the -compact escape hatch: the FP and
 // OPT graphs built with flat label storage (PlainLabels) must answer every
-// criterion identically to the default delta-varint block layout, and the
+// criterion identically to the default bit-packed block layout, and the
 // compact layout must never be larger.
 func TestCompactMatchesPlain(t *testing.T) {
 	for name, tc := range differentialPrograms {

@@ -12,7 +12,7 @@
 // Dependence storage is columnar: each use slot (and each block's control
 // edges) owns one labelblock.List whose aux column carries the producing
 // statement, instead of a []struct of 24-byte edges. Block ordinals only
-// grow, so every list is append-sorted and seals into delta-varint blocks
+// grow, so every list is append-sorted and seals into bit-packed blocks
 // as it fills.
 package fp
 

@@ -6,7 +6,6 @@ import (
 	"dynslice/internal/ir"
 	"dynslice/internal/slicing"
 	"dynslice/internal/slicing/batch"
-	"dynslice/internal/slicing/labelblock"
 )
 
 // SetWorkers bounds the worker pool batched queries (SliceAll) run on;
@@ -24,11 +23,9 @@ func fpKey(stmt ir.StmtID, ts int64) batch.Key {
 // carries a bitmask of the criteria whose slices reach it, merged through
 // the shared flat visited table (internal/slicing/batch), so a subgraph
 // shared by several slices is walked — and its per-slot label searches
-// performed — once instead of once per criterion. Per-worker label-block
-// cursors answer clustered probes from one decoded block (the
-// block-granular merge). Every returned slice is identical to what Slice
-// would produce; the aggregate stats count each unique instance and label
-// probe once.
+// performed — once instead of once per criterion. Every returned slice
+// is identical to what Slice would produce; the aggregate stats count
+// each unique instance and label probe once.
 func (g *Graph) SliceAll(cs []slicing.Criterion) ([]*slicing.Slice, *slicing.Stats, error) {
 	stats := &slicing.Stats{}
 	outs := make([]*slicing.Slice, len(cs))
@@ -45,17 +42,10 @@ func (g *Graph) SliceAll(cs []slicing.Criterion) ([]*slicing.Slice, *slicing.Sta
 		}
 		outs[i] = slicing.NewSlice()
 	}
-	var blockHits int64
 	cfg := batch.Config{
-		Workers:    int(g.workers.Load()),
-		NumStmts:   len(g.p.Stmts),
-		Expand:     g.expandInstance,
-		NewScratch: func() any { return labelblock.NewCursorCache() },
-		FinishScratch: func(sc any) {
-			if cc, ok := sc.(*labelblock.CursorCache); ok {
-				blockHits += cc.Hits
-			}
-		},
+		Workers:  int(g.workers.Load()),
+		NumStmts: len(g.p.Stmts),
+		Expand:   g.expandInstance,
 	}
 	var ctr batch.Counters
 	for base := 0; base < len(cs); base += 64 {
@@ -74,16 +64,14 @@ func (g *Graph) SliceAll(cs []slicing.Criterion) ([]*slicing.Slice, *slicing.Sta
 	}
 	if reg := g.tel; reg != nil {
 		reg.Counter("slice.batch.steals").Add(ctr.Steals)
-		reg.Counter("slice.batch.block_merges").Add(ctr.Merges + blockHits)
+		reg.Counter("slice.batch.block_merges").Add(ctr.Merges)
 	}
 	return outs, stats, nil
 }
 
 // expandInstance resolves one statement instance's dependences — the same
-// per-slot and control-edge Finds the sequential SliceObserved performs,
-// answered through the worker's block cursors.
-func (g *Graph) expandInstance(k batch.Key, stats *slicing.Stats, scratch any) *batch.Expansion {
-	cc, _ := scratch.(*labelblock.CursorCache)
+// per-slot and control-edge Finds the sequential SliceObserved performs.
+func (g *Graph) expandInstance(k batch.Key, stats *slicing.Stats) *batch.Expansion {
 	stmt := ir.StmtID(int32(uint32(k.K1)))
 	ts := int64(k.K2)
 	stats.Instances++
@@ -94,13 +82,13 @@ func (g *Graph) expandInstance(k batch.Key, stats *slicing.Stats, scratch any) *
 		if slots == nil {
 			continue
 		}
-		td, def, probes, found := cc.Find(&slots[i], ts)
+		td, def, probes, found := slots[i].Find(ts)
 		stats.LabelProbes += probes
 		if found {
 			exp.Targets = append(exp.Targets, fpKey(ir.StmtID(def), td))
 		}
 	}
-	ta, anc, probes, found := cc.Find(&g.cdEdges[s.Block.ID], ts)
+	ta, anc, probes, found := g.cdEdges[s.Block.ID].Find(ts)
 	stats.LabelProbes += probes
 	if found {
 		exp.Targets = append(exp.Targets, fpKey(ir.StmtID(anc), ta))

@@ -10,13 +10,13 @@ import (
 // on the last-definition state the records before it established) keeps
 // appending pairs, but each time a list's tail fills, the sealed run — one
 // build epoch of that list — is handed to an encode worker instead of
-// being delta-varint compressed inline. The builder reserves the block's
-// slot immediately (header now: FirstTu/LastTu/N, payload later), so the
-// list's sealed range stays searchable for straddle checks and later
-// epochs graft after it deterministically, in submit order. Drain waits
-// for the workers and patches every reserved slot with its encoded
-// payload; the per-list block sequences that result are byte-identical to
-// inline sealing.
+// being bit-packed inline. The appending goroutine reserves the block's
+// slot immediately (range now: FirstTu/LastTu/N; bases, widths and
+// payload later), so the list's sealed range stays searchable for
+// straddle checks and later epochs graft after it deterministically, in
+// submit order. Drain waits for the workers and patches every reserved
+// slot with its encoded block; the per-list block sequences that result
+// are byte-identical to inline sealing.
 //
 // One Encoder belongs to one graph build (its lists must not be read
 // until Drain). Workers own private Arenas, so encoding allocates without
@@ -78,7 +78,7 @@ func (e *Encoder) submit(l *List, idx int, pairs []Pair, aux []int32) {
 }
 
 // Drain finishes the pool and patches every reserved block slot with its
-// encoded payload. Must be called before the lists are compacted or read;
+// encoded block. Must be called before the lists are compacted or read;
 // the encoder accepts no further work afterwards. Safe to call twice.
 func (e *Encoder) Drain() {
 	if e == nil || e.drained {
@@ -88,7 +88,7 @@ func (e *Encoder) Drain() {
 	close(e.jobs)
 	e.wg.Wait()
 	for _, j := range e.done {
-		j.l.blocks[j.idx].Data = j.blk.Data
+		j.l.blocks[j.idx] = j.blk
 	}
 	e.done = nil
 }

@@ -34,6 +34,8 @@ func requireIdentical(t *testing.T, enc, inline *List, withAux bool) {
 	}
 	for i := range eb {
 		if eb[i].FirstTu != ib[i].FirstTu || eb[i].LastTu != ib[i].LastTu ||
+			eb[i].BaseD != ib[i].BaseD || eb[i].BaseA != ib[i].BaseA ||
+			eb[i].WTu != ib[i].WTu || eb[i].WD != ib[i].WD || eb[i].WA != ib[i].WA ||
 			eb[i].N != ib[i].N || eb[i].HasAux != ib[i].HasAux {
 			t.Fatalf("block %d header: %+v want %+v", i, eb[i], ib[i])
 		}
@@ -118,48 +120,6 @@ func TestEncoderDrainSafety(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if td, _, _, ok := l.Find(int64(i * 2)); !ok || td != int64(i) {
 			t.Fatalf("Find(%d) = %d,%v want %d", i*2, td, ok, i)
-		}
-	}
-}
-
-// TestCursorCacheFind: the cached find must agree with List.Find on every
-// probe (present and absent), and repeated probes into one block must be
-// answered from the cached decode (Hits advances).
-func TestCursorCacheFind(t *testing.T) {
-	l := NewList(false, false)
-	n := BlockSize*4 + 21
-	for i := 0; i < n; i++ {
-		l.Append(nil, Pair{Td: int64(i), Tu: int64(i*3 + 1)}, 0)
-	}
-	l.Seal(false)
-	cc := NewCursorCache()
-	// nil cache falls back to the plain find.
-	if td, _, _, ok := (*CursorCache)(nil).Find(&l, 4); !ok || td != 1 {
-		t.Fatalf("nil cache Find(4) = %d,%v want 1,true", td, ok)
-	}
-	for probe := int64(0); probe < int64(n*3+10); probe++ {
-		wantTd, _, _, wantOk := l.Find(probe)
-		gotTd, _, _, gotOk := cc.Find(&l, probe)
-		if gotOk != wantOk || (gotOk && gotTd != wantTd) {
-			t.Fatalf("Find(%d) = %d,%v want %d,%v", probe, gotTd, gotOk, wantTd, wantOk)
-		}
-	}
-	if cc.Hits == 0 {
-		t.Fatal("sequential probes never hit the cached block")
-	}
-	// A second list through the same cache must not cross-contaminate.
-	l2 := NewList(false, false)
-	for i := 0; i < BlockSize*2; i++ {
-		l2.Append(nil, Pair{Td: int64(i * 7), Tu: int64(i*5 + 2)}, 0)
-	}
-	l2.Seal(false)
-	for probe := int64(0); probe < int64(BlockSize*10); probe++ {
-		for _, li := range []*List{&l, &l2} {
-			wantTd, _, _, wantOk := li.Find(probe)
-			gotTd, _, _, gotOk := cc.Find(li, probe)
-			if gotOk != wantOk || (gotOk && gotTd != wantTd) {
-				t.Fatalf("list %p Find(%d) = %d,%v want %d,%v", li, probe, gotTd, gotOk, wantTd, wantOk)
-			}
 		}
 	}
 }

@@ -66,19 +66,13 @@ func (l *Labels) ensureSorted() {
 	}
 }
 
-// Find returns the Td paired with tu: binary search over sealed blocks,
-// then a scan within one block. The second result counts label probes
-// (for traversal-cost accounting); found reports success.
+// Find returns the Td paired with tu: a binary search over the sealed
+// blocks' ranges, then a search of one block's packed Tu column. The
+// second result counts label probes (for traversal-cost accounting);
+// found reports success.
 func (l *Labels) Find(tu int64) (td int64, probes int64, found bool) {
-	return l.FindCached(nil, tu)
-}
-
-// FindCached is Find through a per-worker block cursor cache (nil: plain
-// Find). Batched traversals resolve clustered timestamps against the same
-// hot lists; the cursor answers those from one decoded block.
-func (l *Labels) FindCached(cc *labelblock.CursorCache, tu int64) (td int64, probes int64, found bool) {
 	l.ensureSorted()
-	td, _, probes, found = cc.Find(&l.list, tu)
+	td, _, probes, found = l.list.Find(tu)
 	return td, probes, found
 }
 

@@ -24,7 +24,7 @@ import (
 // memory ceiling, which is what lets the representation scale to runs
 // whose compacted labels still exceed RAM.
 //
-// Epoch files carry the same delta-varint block framing the in-memory
+// Epoch files carry the same bit-packed block framing the in-memory
 // lists use (labelblock.WriteBlocks), so flushing moves sealed blocks to
 // disk mostly verbatim and on-disk epochs shrink by the same factor as
 // the resident graph. Labels appended out of timestamp order by suspended
@@ -174,13 +174,12 @@ func (g *Graph) flushEpoch() error {
 	return nil
 }
 
-// findLabel searches l for tu: resident pairs first (through cc, the
-// caller's per-worker cursor cache, when non-nil), then the epoch file
+// findLabel searches l for tu: resident pairs first, then the epoch file
 // whose range contains tu (loaded on demand, one-epoch cache). An
 // observer is told about each actual epoch-file load charged to its
 // query.
-func (g *Graph) findLabel(l *Labels, id int32, tu int64, cc *labelblock.CursorCache, obs *explain.Recorder) (int64, int64, bool) {
-	td, probes, ok := l.FindCached(cc, tu)
+func (g *Graph) findLabel(l *Labels, id int32, tu int64, obs *explain.Recorder) (int64, int64, bool) {
+	td, probes, ok := l.Find(tu)
 	if ok || g.hybrid == nil {
 		return td, probes, ok
 	}

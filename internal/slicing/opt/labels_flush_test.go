@@ -83,43 +83,68 @@ func TestLabelsLenAfterFlush(t *testing.T) {
 
 // FuzzLabelsFindRoundTrip appends a fuzzer-chosen mix of in- and
 // out-of-order pairs and checks Find against a linear scan of everything
-// appended.
+// appended: on the list as built, after finalization seals its tail into
+// a packed block, and after a snapshot round trip through
+// AppendList/DecodeList.
 func FuzzLabelsFindRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 250, 6})
 	f.Add([]byte{200, 1, 200, 2, 0, 0, 9})
+	f.Add([]byte{1, 255, 1, 3, 1, 250, 1, 0, 1, 201, 1, 7, 1, 1, 1, 254, 1, 9, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l := &Labels{}
 		want := map[int64]int64{}
 		tu := int64(0)
 		for len(data) >= 2 {
 			// Byte 0 is a signed Tu step (out-of-order when negative),
-			// byte 1 seeds the Td distance.
+			// byte 1 seeds the Td distance; its top values reach far
+			// back, so a block's distance column needs wide offsets.
 			step := int64(int8(data[0]))
-			td := tu - int64(data[1])%97
+			dist := int64(data[1]) % 97
+			if data[1] >= 200 {
+				dist <<= data[1] - 200
+			}
 			data = data[2:]
 			tu += step
 			if _, dup := want[tu]; dup {
 				continue
 			}
-			want[tu] = td
-			l.Append(nil, Pair{Td: td, Tu: tu})
+			want[tu] = tu - dist
+			l.Append(nil, Pair{Td: tu - dist, Tu: tu})
 		}
-		for u, d := range want {
-			got, _, ok := l.Find(u)
-			if !ok || got != d {
-				t.Fatalf("Find(%d) = %d,%v want %d,true over %d pairs", u, got, ok, d, len(want))
+		check := func(stage string, find func(int64) (int64, bool)) {
+			t.Helper()
+			for u, d := range want {
+				if got, ok := find(u); !ok || got != d {
+					t.Fatalf("%s: Find(%d) = %d,%v want %d,true over %d pairs", stage, u, got, ok, d, len(want))
+				}
+			}
+			// A Tu never appended must miss.
+			probe := tu + 1
+			for {
+				if _, present := want[probe]; !present {
+					break
+				}
+				probe++
+			}
+			if _, ok := find(probe); ok {
+				t.Fatalf("%s: Find(%d) hit; value was never appended", stage, probe)
 			}
 		}
-		// A Tu never appended must miss.
-		probe := tu + 1
-		for {
-			if _, present := want[probe]; !present {
-				break
-			}
-			probe++
+		find := func(u int64) (int64, bool) {
+			td, _, ok := l.Find(u)
+			return td, ok
 		}
-		if _, _, ok := l.Find(probe); ok {
-			t.Fatalf("Find(%d) hit; value was never appended", probe)
+		check("built", find)
+		l.list.Compact(nil, false)
+		check("compacted", find)
+		raw := labelblock.AppendList(nil, &l.list)
+		back, rest, err := labelblock.DecodeList(raw)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("DecodeList: err %v, %d bytes left over", err, len(rest))
 		}
+		check("snapshot", func(u int64) (int64, bool) {
+			td, _, _, ok := back.Find(u)
+			return td, ok
+		})
 	})
 }

@@ -6,7 +6,6 @@ import (
 
 	"dynslice/internal/slicing"
 	"dynslice/internal/slicing/explain"
-	"dynslice/internal/slicing/labelblock"
 )
 
 // Slicing traversal (paper §3.4 "Dynamic Slicing" and Fig. 13): for each
@@ -58,6 +57,25 @@ var statePool = sync.Pool{New: func() any {
 	return &sliceState{visited: map[instKey]bool{}, seenUse: map[useKey]bool{}}
 }}
 
+// maxPooledEntries bounds the traversal state a pooled sliceState keeps.
+// Go maps never shrink and clear costs a map's capacity, not its length,
+// so without the bound one heavy query would tax every later light query
+// with clearing tables sized for it. Above the bound release drops the
+// map instead of clearing it. 1<<17 sits above an interactive query's
+// footprint (about 64k instances on 130.li at input 16), so those keep
+// reusing their maps.
+const maxPooledEntries = 1 << 17
+
+// recycle empties m for reuse, or replaces it when it grew past
+// maxPooledEntries.
+func recycle[K comparable](m map[K]bool) map[K]bool {
+	if len(m) > maxPooledEntries {
+		return map[K]bool{}
+	}
+	clear(m)
+	return m
+}
+
 func getSliceState(g *Graph) *sliceState {
 	st := statePool.Get().(*sliceState)
 	st.g = g
@@ -66,12 +84,15 @@ func getSliceState(g *Graph) *sliceState {
 	return st
 }
 
-// releaseSliceState returns st to the pool. The slice and stats escape to
+// release returns st to the pool. The slice and stats escape to
 // the caller; only the traversal bookkeeping is recycled.
 func (st *sliceState) release() {
-	clear(st.visited)
-	clear(st.seenUse)
+	st.visited = recycle(st.visited)
+	st.seenUse = recycle(st.seenUse)
 	st.work = st.work[:0]
+	if cap(st.work) > maxPooledEntries {
+		st.work = nil
+	}
 	st.g, st.out, st.stats, st.obs = nil, nil, nil, nil
 	statePool.Put(st)
 }
@@ -229,7 +250,7 @@ func (st *sliceState) observeClosure(loc InstLoc, ts int64, cl *closure) {
 // a use-point redirect target (an OPT-2 chain) rather than an instance's
 // own use.
 func (st *sliceState) resolveUse(loc InstLoc, slot int32, ts int64, fromUse bool) {
-	d := st.g.resolveUseDep(loc, slot, ts, st.stats, nil, st.obs)
+	d := st.g.resolveUseDep(loc, slot, ts, st.stats, st.obs)
 	if st.obs != nil && d.kind != depNone {
 		from := st.g.nodes[loc.Node].Stmts[loc.Stmt].S.ID
 		switch d.kind {
@@ -250,7 +271,7 @@ func (st *sliceState) resolveUse(loc InstLoc, slot int32, ts int64, fromUse bool
 // resolveCD resolves the control dependence of one occurrence; fromSi is
 // the statement copy the edge is traversed on behalf of (for witnesses).
 func (st *sliceState) resolveCD(node NodeID, occIdx int32, ts int64, fromSi int32) {
-	d := st.g.resolveCDDep(node, occIdx, ts, st.stats, nil, st.obs)
+	d := st.g.resolveCDDep(node, occIdx, ts, st.stats, st.obs)
 	if d.kind != depInst {
 		return
 	}
@@ -265,10 +286,10 @@ func (st *sliceState) resolveCD(node NodeID, occIdx int32, ts int64, fromSi int3
 // Dynamic labels take precedence; the static edge is the fallback (paper
 // Fig. 13, cases (a) and (c)). Read-only on the graph after Finalize.
 // The dep's why field classifies the resolution for observed queries.
-func (g *Graph) resolveUseDep(loc InstLoc, slot int32, ts int64, stats *slicing.Stats, cc *labelblock.CursorCache, obs *explain.Recorder) dep {
+func (g *Graph) resolveUseDep(loc InstLoc, slot int32, ts int64, stats *slicing.Stats, obs *explain.Recorder) dep {
 	us := g.nodes[loc.Node].useSet(loc.Stmt, slot)
 	for i := range us.Dyn {
-		td, probes, found := g.findLabel(us.Dyn[i].L, us.Dyn[i].L.id, ts, cc, obs)
+		td, probes, found := g.findLabel(us.Dyn[i].L, us.Dyn[i].L.id, ts, obs)
 		stats.LabelProbes += probes
 		if found {
 			if td < 0 {
@@ -300,11 +321,11 @@ func (g *Graph) resolveUseDep(loc InstLoc, slot int32, ts int64, stats *slicing.
 // time ts. CDSame chains (control-equivalent occurrences of superblock
 // nodes) are followed iteratively; an observer counts each deferral and
 // the eventual resolution is attributed to the final hop.
-func (g *Graph) resolveCDDep(node NodeID, occIdx int32, ts int64, stats *slicing.Stats, cc *labelblock.CursorCache, obs *explain.Recorder) dep {
+func (g *Graph) resolveCDDep(node NodeID, occIdx int32, ts int64, stats *slicing.Stats, obs *explain.Recorder) dep {
 	for {
 		occ := &g.nodes[node].Occs[occIdx]
 		for i := range occ.CD.Dyn {
-			ta, probes, found := g.findLabel(occ.CD.Dyn[i].L, occ.CD.Dyn[i].L.id, ts, cc, obs)
+			ta, probes, found := g.findLabel(occ.CD.Dyn[i].L, occ.CD.Dyn[i].L.id, ts, obs)
 			stats.LabelProbes += probes
 			if found {
 				if ta < 0 {

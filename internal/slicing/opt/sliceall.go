@@ -5,7 +5,6 @@ import (
 
 	"dynslice/internal/slicing"
 	"dynslice/internal/slicing/batch"
-	"dynslice/internal/slicing/labelblock"
 )
 
 // Batched multi-criterion slicing: N criteria are answered in one shared
@@ -20,7 +19,7 @@ import (
 // memoized once per unique (location, timestamp) rather than recomputed
 // for every criterion that reaches it. Expansion goes through the exact
 // resolvers the sequential path uses (resolveUseDep/resolveCDDep in
-// slice.go), answered through per-worker label-block cursors.
+// slice.go).
 
 // SetWorkers bounds the worker pool batched queries (SliceAll) run on;
 // n <= 0 means GOMAXPROCS. Atomic, so concurrent engine callers may
@@ -66,17 +65,10 @@ func (g *Graph) SliceAll(cs []slicing.Criterion) ([]*slicing.Slice, *slicing.Sta
 		seeds[i] = d
 		outs[i] = slicing.NewSlice()
 	}
-	var blockHits int64
 	cfg := batch.Config{
-		Workers:    int(g.workers.Load()),
-		NumStmts:   len(g.p.Stmts),
-		Expand:     g.expandPoint,
-		NewScratch: func() any { return labelblock.NewCursorCache() },
-		FinishScratch: func(sc any) {
-			if cc, ok := sc.(*labelblock.CursorCache); ok {
-				blockHits += cc.Hits
-			}
-		},
+		Workers:  int(g.workers.Load()),
+		NumStmts: len(g.p.Stmts),
+		Expand:   g.expandPoint,
 	}
 	var ctr batch.Counters
 	for base := 0; base < len(cs); base += 64 {
@@ -95,18 +87,17 @@ func (g *Graph) SliceAll(cs []slicing.Criterion) ([]*slicing.Slice, *slicing.Sta
 	}
 	if reg := g.tel; reg != nil {
 		reg.Counter("slice.batch.steals").Add(ctr.Steals)
-		reg.Counter("slice.batch.block_merges").Add(ctr.Merges + blockHits)
+		reg.Counter("slice.batch.block_merges").Add(ctr.Merges)
 	}
 	return outs, stats, nil
 }
 
 // expandPoint resolves one traversal point through the shared resolvers.
-func (g *Graph) expandPoint(k batch.Key, stats *slicing.Stats, scratch any) *batch.Expansion {
-	cc, _ := scratch.(*labelblock.CursorCache)
+func (g *Graph) expandPoint(k batch.Key, stats *slicing.Stats) *batch.Expansion {
 	loc, ts, slot := unpackKey(k)
 	exp := &batch.Expansion{}
 	if slot >= 0 {
-		g.addDep(exp, g.resolveUseDep(loc, slot, ts, stats, cc, nil))
+		g.addDep(exp, g.resolveUseDep(loc, slot, ts, stats, nil))
 		return exp
 	}
 	stats.Instances++
@@ -115,10 +106,10 @@ func (g *Graph) expandPoint(k batch.Key, stats *slicing.Stats, scratch any) *bat
 		cl := g.closureFor(loc)
 		exp.Stmts = cl.stmts // shared read-only with the closure memo
 		for _, u := range cl.uFront {
-			g.addDep(exp, g.resolveUseDep(InstLoc{Node: loc.Node, Stmt: u.stmt}, u.slot, ts, stats, cc, nil))
+			g.addDep(exp, g.resolveUseDep(InstLoc{Node: loc.Node, Stmt: u.stmt}, u.slot, ts, stats, nil))
 		}
 		for _, cf := range cl.cFront {
-			g.addDep(exp, g.resolveCDDep(loc.Node, cf.occ, ts, stats, cc, nil))
+			g.addDep(exp, g.resolveCDDep(loc.Node, cf.occ, ts, stats, nil))
 		}
 		return exp
 	}
@@ -126,9 +117,9 @@ func (g *Graph) expandPoint(k batch.Key, stats *slicing.Stats, scratch any) *bat
 	sc := &n.Stmts[loc.Stmt]
 	exp.Stmts = append(exp.Stmts, sc.S.ID)
 	for s := range sc.S.Uses {
-		g.addDep(exp, g.resolveUseDep(loc, int32(s), ts, stats, cc, nil))
+		g.addDep(exp, g.resolveUseDep(loc, int32(s), ts, stats, nil))
 	}
-	g.addDep(exp, g.resolveCDDep(loc.Node, sc.OccIdx, ts, stats, cc, nil))
+	g.addDep(exp, g.resolveCDDep(loc.Node, sc.OccIdx, ts, stats, nil))
 	return exp
 }
 

@@ -46,8 +46,9 @@ var Magic = [4]byte{'D', 'Y', 'S', 'G'}
 
 // Version is the snapshot format version; it participates in the cache
 // key, so a format bump makes every old cache entry a clean miss rather
-// than a decode error.
-const Version byte = 1
+// than a decode error. Version 2 stores label blocks in the FOR
+// bit-packed layout (version 1 was delta-varint).
+const Version byte = 2
 
 // Section ids.
 const (

@@ -11,13 +11,15 @@ import (
 	slicer "dynslice"
 	"dynslice/internal/slicing/labelblock"
 	"dynslice/internal/slicing/snapshot"
+	"dynslice/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/tiny.dysnap from the current format")
 
 // tinySrc is the checked-in golden snapshot's program: small enough that
 // the .dysnap file stays a few kilobytes, rich enough (loop, call, array,
-// control dependence) that every section has content.
+// control dependence) that every section has content, and long enough
+// that label lists seal into bit-packed blocks (with and without aux).
 const tinySrc = `
 var out = 0;
 var a[4];
@@ -29,7 +31,7 @@ func bump(v) {
 
 func main() {
 	var i = 0;
-	while (i < 6) {
+	while (i < 24) {
 		if (i % 2 == 0) {
 			out = out + bump(i);
 		}
@@ -147,6 +149,63 @@ func TestGoldenSnapshot(t *testing.T) {
 	}
 	if img.FP == nil || img.OPT == nil || len(img.Output) == 0 {
 		t.Fatal("golden snapshot loaded incomplete")
+	}
+}
+
+// TestVersion1Image: testdata/tiny-v1.dysnap is a real image of the
+// version-1 format (delta-varint label blocks). Read must reject it as
+// ClassBadVersion, and a Record that finds one at its cache path must
+// count the classified failure and rebuild, answering the same slice.
+func TestVersion1Image(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "tiny-v1.dysnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old[4] != 1 {
+		t.Fatalf("tiny-v1.dysnap has version byte %d, want 1", old[4])
+	}
+	path, raw := buildSnapshot(t)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readBack(t, path, keyOf(t, raw)); snapshot.Classify(err) != labelblock.ClassBadVersion {
+		t.Fatalf("Classify = %q (%v), want %q", snapshot.Classify(err), err, labelblock.ClassBadVersion)
+	}
+
+	p, err := slicer.Compile(tinySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := slicer.RunOptions{Input: []int64{7, 3, 5}}
+	fresh, err := p.Record(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	want, err := fresh.OPT().SliceVar("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	opts.Telemetry = reg
+	opts.Snapshot = slicer.SnapshotOptions{Dir: filepath.Dir(path), Read: true}
+	rec, err := p.Record(opts)
+	if err != nil {
+		t.Fatalf("a version-1 image must fall back, got error: %v", err)
+	}
+	defer rec.Close()
+	if rec.Source() != "build" {
+		t.Fatalf("Source = %q, want a rebuild", rec.Source())
+	}
+	if n := reg.Counter("snapshot.read.err." + labelblock.ClassBadVersion).Value(); n != 1 {
+		t.Fatalf("snapshot.read.err.%s = %d, want 1", labelblock.ClassBadVersion, n)
+	}
+	got, err := rec.OPT().SliceVar("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Raw().Equal(want.Raw()) {
+		t.Fatal("fallback build answered a different slice")
 	}
 }
 

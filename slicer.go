@@ -82,7 +82,7 @@ type RunOptions struct {
 	TraceDir string  // where the trace file is written (default: temp dir)
 	// OptConfig overrides the OPT configuration (default: opt.Full()).
 	OptConfig *opt.Config
-	// PlainLabels disables the delta-varint block compaction of dependence
+	// PlainLabels disables the bit-packed block compaction of dependence
 	// labels in the FP and OPT graphs (the -compact=false escape hatch;
 	// see docs/PERFORMANCE.md "Memory layout"). Slices are identical either
 	// way.
@@ -341,7 +341,7 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace) (*Recording, error) {
 			tl := o.Telemetry.Timeline()
 			// Epoch-parallel block sealing rides along with the pipelined
 			// build: each builder ships filled label epochs to encode
-			// workers instead of delta-varint compressing them inline.
+			// workers instead of bit-packing them inline.
 			rec.fpG.SetParallelEncode(0)
 			rec.optG.SetParallelEncode(0)
 			afp := trace.NewAsync(rec.fpG, trace.PipelineConfig{Timeline: tl, TimelineNames: []string{"fp-build"}})
