@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci build vet fmt test test-race fuzz-smoke fuzz-native overhead bench bench-parallel bench-mem bench-explain bench-queries bench-snapshot bench-planner bench-qtrace bench-baseline bench-check lint-metrics experiments
+.PHONY: ci build vet fmt test perfbench-test test-race fuzz-smoke fuzz-native overhead bench bench-parallel bench-mem bench-explain bench-queries bench-snapshot bench-planner bench-qtrace bench-baseline bench-check lint-metrics experiments
 
-ci: build vet fmt lint-metrics test test-race fuzz-smoke bench-mem bench-explain bench-queries bench-snapshot bench-planner bench-qtrace overhead bench-check
+ci: build vet fmt lint-metrics test perfbench-test test-race fuzz-smoke bench-mem bench-explain bench-queries bench-snapshot bench-planner bench-qtrace overhead bench-check
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,11 @@ fmt:
 
 test:
 	$(GO) test ./...
+
+# perfbench is a nested module, so the root ./... skips it; its tests
+# drive the public façade and catch API changes that break the benchmark.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Race detection over the concurrent paths: the pipelined builders, the
 # batched slicers, the QueryEngine, the root façade, and the query
@@ -54,12 +59,10 @@ bench:
 bench-parallel:
 	$(GO) run ./cmd/experiments -exp parallel
 
-# Memory-layout comparison: bit-packed label blocks vs the flat
-# -compact=false layout -> BENCH_memory.json. RunMemory fails the target
-# if OPT's compact resident label bytes exceed 0.5x the uncompacted
-# baseline, if the compact layout's slice loop is more than 1.10x the
-# flat one's (median of paired samples), or if any slice differs
-# between layouts.
+# Label storage: bytes, build time, label probes and sequential slice
+# time of the FOR bit-packed label blocks -> BENCH_memory.json.
+# RunMemory fails the target if FP's or OPT's labels take more than
+# 0.5 x 16 bytes per stored pair on any workload.
 bench-mem:
 	$(GO) run ./cmd/experiments -exp memory
 
@@ -112,10 +115,10 @@ bench-planner:
 # Regression gate: regenerate the gated benchmark artifacts into a temp
 # directory and diff against bench/baselines (fails when the median
 # cross-workload delta of lp/opt batch speedup, compact resident label
-# bytes, or per-backend slice times exceeds the metric's allowance —
-# 20% base, scaled up for timing noise; see cmd/benchdiff). Baselines
-# are machine-dependent; refresh them on the gating machine with
-# `make bench-baseline`.
+# bytes, label probes, or per-backend slice times exceeds the metric's
+# allowance — 20% base, scaled up for timing noise; see cmd/benchdiff).
+# Baselines are machine-dependent; refresh them on the gating machine
+# with `make bench-baseline`.
 bench-check:
 	@dir=$$(mktemp -d) && \
 	$(GO) run ./cmd/experiments -exp parallel,memory,telemetry,snapshot,planner,queries,explain,qtrace \

@@ -17,10 +17,9 @@
 // pipelined build and the batched/concurrent 25-criteria query paths
 // against their sequential GOMAXPROCS=1 baselines and writes per-workload
 // speedups to -parallel-out (see docs/PERFORMANCE.md). The memory
-// experiment builds each workload's FP and OPT graphs under both label
-// layouts (flat -compact=false pairs vs bit-packed blocks), checks the
-// slices agree and the compact slice time, and writes resident-bytes and
-// slice-time comparisons to -memory-out.
+// experiment builds each workload's FP and OPT graphs, checks their
+// packed labels take at most half of 16 bytes per pair, and writes label
+// bytes, label probes and slice times to -memory-out.
 // The explain experiment runs every criterion as an observed query on
 // FP, OPT, and LP, and writes the aggregate explicit-vs-inferred edge
 // resolution breakdown (the measurable counterpart of the paper's

@@ -27,7 +27,6 @@ import (
 // Variant is one slicer configuration in the differential matrix.
 type Variant struct {
 	Alg       string // "FP", "OPT", "LP", "forward", "reexec", "plan"
-	Plain     bool   // flat label storage (-compact=false)
 	Pipelined bool   // build via trace.Async on a worker goroutine
 	Hybrid    bool   // OPT only: disk-epoch mode with an aggressive budget
 	// Snapshot (FP/OPT) answers criteria from a graph that was serialized
@@ -47,11 +46,6 @@ func (v Variant) Name() string {
 	s := v.Alg
 	switch v.Alg {
 	case "FP", "OPT":
-		if v.Plain {
-			s += "/plain"
-		} else {
-			s += "/compact"
-		}
 		if v.Pipelined {
 			s += "/pipe"
 		} else {
@@ -71,7 +65,7 @@ func (v Variant) Name() string {
 }
 
 // FullMatrix is the complete configuration matrix the tentpole checks:
-// FP x {compact,plain} x {seq,pipe}, OPT additionally x {hybrid,resident},
+// FP x {seq,pipe}, OPT additionally x {hybrid,resident},
 // plus LP, the forward slicer, the checkpoint re-execution backend
 // (single and batched), and the cost-based planner dispatching over all
 // of them, plus batched work-stealing SliceAll variants (multi-worker
@@ -79,16 +73,12 @@ func (v Variant) Name() string {
 // compared against the brute-force oracle.
 func FullMatrix() []Variant {
 	var vs []Variant
-	for _, plain := range []bool{false, true} {
-		for _, pipe := range []bool{false, true} {
-			vs = append(vs, Variant{Alg: "FP", Plain: plain, Pipelined: pipe})
-		}
+	for _, pipe := range []bool{false, true} {
+		vs = append(vs, Variant{Alg: "FP", Pipelined: pipe})
 	}
-	for _, plain := range []bool{false, true} {
-		for _, pipe := range []bool{false, true} {
-			for _, hyb := range []bool{false, true} {
-				vs = append(vs, Variant{Alg: "OPT", Plain: plain, Pipelined: pipe, Hybrid: hyb})
-			}
+	for _, pipe := range []bool{false, true} {
+		for _, hyb := range []bool{false, true} {
+			vs = append(vs, Variant{Alg: "OPT", Pipelined: pipe, Hybrid: hyb})
 		}
 	}
 	vs = append(vs,
@@ -118,9 +108,8 @@ func FullMatrix() []Variant {
 func QuickMatrix() []Variant {
 	return []Variant{
 		{Alg: "FP"},
-		{Alg: "FP", Plain: true},
 		{Alg: "OPT"},
-		{Alg: "OPT", Plain: true, Pipelined: true},
+		{Alg: "OPT", Pipelined: true},
 		{Alg: "OPT", Hybrid: true},
 		{Alg: "OPT", Batch: 8},
 		{Alg: "FP", Snapshot: true},
@@ -363,16 +352,13 @@ func Check(src string, input []int64, o Options) (*Result, error) {
 		switch v.Alg {
 		case "FP":
 			g := fp.NewGraph(p)
-			g.SetPlainLabels(v.Plain)
-			if planFP == nil && !v.Plain && !v.Pipelined {
+			if planFP == nil && !v.Pipelined {
 				planFP = g
 			}
 			sink, sl = g, g
 		case "OPT":
-			cfg := opt.Full()
-			cfg.PlainLabels = v.Plain
-			g := opt.NewGraph(p, cfg, hot, cuts)
-			if planOPT == nil && !v.Plain && !v.Pipelined && !v.Hybrid {
+			g := opt.NewGraph(p, opt.Full(), hot, cuts)
+			if planOPT == nil && !v.Pipelined && !v.Hybrid {
 				planOPT = g
 			}
 			if v.Hybrid {

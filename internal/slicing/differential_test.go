@@ -356,12 +356,12 @@ func TestDifferentialSlices(t *testing.T) {
 
 // TestFullMatrixAgainstOracle runs every differential program through the
 // fuzzing harness's comparison helper: the complete configuration matrix —
-// FP and OPT each as {compact,plain} x {sequential,pipelined}, OPT
+// FP and OPT each as {sequential,pipelined}, OPT
 // additionally x {resident,hybrid}, plus LP and the forward slicer — all
 // compared against the brute-force oracle on every sampled criterion. The
 // harness-based tests above pin the per-stage structure; this one pins
-// the full cross product, including the storage and build-mode axes the
-// local harness does not multiply out.
+// the full cross product, including the build-mode axes the local
+// harness does not multiply out.
 func TestFullMatrixAgainstOracle(t *testing.T) {
 	for name, tc := range differentialPrograms {
 		t.Run(name, func(t *testing.T) {
@@ -374,66 +374,6 @@ func TestFullMatrixAgainstOracle(t *testing.T) {
 			}
 			for _, d := range res.Divergences {
 				t.Errorf("%s", d)
-			}
-		})
-	}
-}
-
-// TestCompactMatchesPlain checks the -compact escape hatch: the FP and
-// OPT graphs built with flat label storage (PlainLabels) must answer every
-// criterion identically to the default bit-packed block layout, and the
-// compact layout must never be larger.
-func TestCompactMatchesPlain(t *testing.T) {
-	for name, tc := range differentialPrograms {
-		t.Run(name, func(t *testing.T) {
-			p, err := compile.Source(tc.src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			col := profile.NewCollector(p)
-			if _, err := interp.Run(p, interp.Options{Input: tc.input, Sink: col}); err != nil {
-				t.Fatal(err)
-			}
-			hot := col.HotPaths(1, 0)
-
-			fpCompact := fp.NewGraph(p)
-			fpPlain := fp.NewGraph(p)
-			fpPlain.SetPlainLabels(true)
-			plainCfg := opt.Full()
-			plainCfg.PlainLabels = true
-			optCompact := opt.NewGraph(p, opt.Full(), hot, col.Cuts())
-			optPlain := opt.NewGraph(p, plainCfg, hot, col.Cuts())
-			sampler := newAddrSampler()
-			sinks := trace.Multi{fpCompact, fpPlain, optCompact, optPlain, sampler}
-			if _, err := interp.Run(p, interp.Options{Input: tc.input, Sink: sinks}); err != nil {
-				t.Fatal(err)
-			}
-
-			for _, a := range sampler.sample(12) {
-				c := slicing.AddrCriterion(a)
-				for _, pair := range []struct {
-					name           string
-					plain, compact slicing.Slicer
-				}{{"fp", fpPlain, fpCompact}, {"opt", optPlain, optCompact}} {
-					want, _, err := pair.plain.Slice(c)
-					if err != nil {
-						t.Fatalf("%s plain addr %d: %v", pair.name, a, err)
-					}
-					got, _, err := pair.compact.Slice(c)
-					if err != nil {
-						t.Fatalf("%s compact addr %d: %v", pair.name, a, err)
-					}
-					if !want.Equal(got) {
-						t.Errorf("addr %d: %s compact slice differs from plain\nplain:   %v\ncompact: %v",
-							a, pair.name, describe(p, want), describe(p, got))
-					}
-				}
-			}
-			if c, pl := fpCompact.LabelBytes(), fpPlain.LabelBytes(); c > pl {
-				t.Errorf("fp compact labels %dB exceed plain %dB", c, pl)
-			}
-			if c, pl := optCompact.LabelBytes(), optPlain.LabelBytes(); c > pl {
-				t.Errorf("opt compact labels %dB exceed plain %dB", c, pl)
 			}
 		})
 	}

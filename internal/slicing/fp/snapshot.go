@@ -25,11 +25,7 @@ func (g *Graph) AppendSnapshot(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(g.ts))
 	dst = binary.AppendUvarint(dst, uint64(g.dataPairs))
 	dst = binary.AppendUvarint(dst, uint64(g.cdPairs))
-	if g.plain {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+	dst = append(dst, 0) // layout byte: 0 is the bit-packed layout, the only one
 
 	// Last-definition table, sorted by address for deterministic bytes.
 	// A loaded graph already holds it as sorted arrays (lastDef == nil).
@@ -94,9 +90,11 @@ func LoadSnapshot(p *ir.Program, data []byte) (*Graph, error) {
 	g.dataPairs = int64(dp)
 	g.cdPairs = int64(cp)
 	if len(data) == 0 {
-		return nil, labelblock.Corrupt(labelblock.ClassTruncated, "fp: data ends before plain flag")
+		return nil, labelblock.Corrupt(labelblock.ClassTruncated, "fp: data ends before layout byte")
 	}
-	g.plain = data[0] != 0
+	if data[0] != 0 {
+		return nil, labelblock.Corrupt(labelblock.ClassBadBlock, "fp: unknown label layout %d", data[0])
+	}
 	data = data[1:]
 
 	nDefs, data, err := snapUvarint(data, "lastDef count")

@@ -5,7 +5,7 @@ package labelblock
 // chunks, and the fixed-capacity tail arrays that lists fill and seal are
 // recycled through a free list instead of being re-made per block. All
 // entry points are nil-safe — a nil *Arena falls back to plain make/append
-// so tests and the -compact=false path need no allocator plumbing.
+// so tests need no allocator plumbing.
 //
 // An Arena is single-goroutine, matching graph build: each trace replay
 // sink owns one. After Finalize the graph is read-only, so queries never

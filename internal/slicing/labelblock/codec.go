@@ -295,8 +295,9 @@ func decUvarint(data []byte, what string) (uint64, []byte, error) {
 }
 
 // persistedFlags are the List flags that survive serialization; the
-// remaining bits are builder-transient.
-const persistedFlags = flagPlain | flagAux | flagDirty | flagStraddle | flagDedupe
+// remaining bits are builder-transient. Bit 0, the retired flat-layout
+// flag, is not among them, so DecodeList rejects a list that sets it.
+const persistedFlags = flagAux | flagDirty | flagStraddle | flagDedupe
 
 // AppendList serializes a list — flags, sealed blocks, uncompressed tail
 // (with its aux column, when present) — for a graph snapshot section.

@@ -10,8 +10,8 @@ import (
 func appendStream(t *testing.T, pairs []Pair, aux []int32, withAux bool, workers int) (enc, inline List) {
 	t.Helper()
 	e := NewEncoder(workers)
-	enc = NewList(false, withAux)
-	inline = NewList(false, withAux)
+	enc = NewList(withAux)
+	inline = NewList(withAux)
 	for i, p := range pairs {
 		var a int32
 		if withAux {
@@ -104,7 +104,7 @@ func TestEncoderDrainSafety(t *testing.T) {
 	nilEnc.Drain() // must not panic
 
 	e := NewEncoder(2)
-	l := NewList(false, false)
+	l := NewList(false)
 	n := BlockSize*3 + 9
 	for i := 0; i < n; i++ {
 		l.AppendEnc(nil, e, Pair{Td: int64(i), Tu: int64(i * 2)}, 0)

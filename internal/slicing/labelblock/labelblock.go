@@ -19,7 +19,7 @@
 // predecessors: Find binary-searches the per-block first/last Tu, then
 // searches the packed Tu column of one block from an interpolated guess,
 // so a lookup costs about as many bit extractions as a binary search
-// over the flat layout costs comparisons, and never decodes a block.
+// over a flat []Pair costs comparisons, and never decodes a block.
 // Payloads carry an 8-byte zero pad, so every extraction is one
 // bounds-checked 8-byte load (plus one byte for distance or aux widths
 // above 57 bits; a Tu column that wide is stored in whole words).
@@ -310,7 +310,7 @@ const blockHeaderBytes = int64(unsafe.Sizeof(Block{}))
 // ranges, then a search of the chosen block's packed Tu column, and the
 // hit's distance and aux decoded in place. probes counts Tu comparisons —
 // the block-range comparisons plus those inside the chosen block, the
-// same unit the flat layout's binary search counts. There is no per-block
+// same unit a binary search of the tail counts. There is no per-block
 // Find to call: on lookup-heavy FP traversals that extra call layer cost
 // measurable time.
 func FindBlocks(blocks []Block, tu int64) (td int64, aux int32, probes int64, found bool) {
@@ -356,28 +356,21 @@ type List struct {
 
 // List flags.
 const (
-	flagPlain    uint8 = 1 << iota // compaction disabled: everything stays in tail
+	_            uint8 = 1 << iota // reserved: the retired flat-layout bit, rejected on decode
 	flagAux                        // carries the int32 aux column
 	flagDirty                      // tail is unsorted (out-of-order append)
 	flagStraddle                   // sorted tail begins at or before the blocks' range
 	flagDedupe                     // drop exact duplicate pairs when sealing (shared lists)
 )
 
-// NewList returns a list. plain disables compaction (the -compact=false
-// escape hatch: pairs stay in a flat []Pair exactly as the previous
-// representation stored them); hasAux enables the int32 column.
-func NewList(plain, hasAux bool) List {
-	var f uint8
-	if plain {
-		f |= flagPlain
-	}
+// NewList returns an empty list; hasAux enables the int32 column.
+func NewList(hasAux bool) List {
 	if hasAux {
-		f |= flagAux
+		return List{flags: flagAux}
 	}
-	return List{flags: f}
+	return List{}
 }
 
-func (l *List) plain() bool  { return l.flags&flagPlain != 0 }
 func (l *List) hasAux() bool { return l.flags&flagAux != 0 }
 
 // SetDedupe marks the list as shared: sealing drops exact duplicate pairs
@@ -410,7 +403,7 @@ func (l *List) Append(ar *Arena, p Pair, aux int32) {
 		l.aux = append(l.aux, aux)
 	}
 	l.n++
-	if !l.plain() && len(l.tail) >= BlockSize {
+	if len(l.tail) >= BlockSize {
 		l.compressTail(ar, l.flags&flagDedupe != 0)
 		if l.tail == nil {
 			l.tail = ar.newTail()
@@ -422,7 +415,7 @@ func (l *List) Append(ar *Arena, p Pair, aux int32) {
 // after every existing block. dedupe drops exact duplicate pairs first
 // (shared cluster lists).
 func (l *List) compressTail(ar *Arena, dedupe bool) {
-	if len(l.tail) == 0 || l.plain() {
+	if len(l.tail) == 0 {
 		return
 	}
 	l.sortTail(dedupe)
@@ -514,10 +507,6 @@ func (l *List) Seal(dedupe bool) {
 // re-encoded into full blocks plus a short tail. Graph finalization calls
 // this for lists that a straggler left straddling or uncompressed.
 func (l *List) Repack(ar *Arena, dedupe bool) {
-	if l.plain() {
-		l.Seal(dedupe)
-		return
-	}
 	if len(l.blocks) == 0 && len(l.tail) < BlockSize {
 		l.Seal(dedupe)
 		return
@@ -551,10 +540,6 @@ const minCompactTail = 8
 // sorted blocks, and a clean tail of at least minCompactTail pairs is
 // sealed. dedupe applies the shared-list duplicate drop.
 func (l *List) Compact(ar *Arena, dedupe bool) {
-	if l.plain() {
-		l.Seal(dedupe && l.Dirty())
-		return
-	}
 	if l.Dirty() || l.flags&flagStraddle != 0 {
 		l.Repack(ar, dedupe)
 	} else if len(l.tail) >= minCompactTail {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -69,7 +70,7 @@ func TestBlockNegativeTd(t *testing.T) {
 }
 
 func TestListAppendFindAcrossBlocks(t *testing.T) {
-	l := NewList(false, false)
+	l := NewList(false)
 	n := BlockSize*3 + 17
 	pairs := make([]Pair, 0, n)
 	for i := 0; i < n; i++ {
@@ -101,7 +102,7 @@ func TestListAppendFindAcrossBlocks(t *testing.T) {
 }
 
 func TestListStraddleAndRepack(t *testing.T) {
-	l := NewList(false, false)
+	l := NewList(false)
 	// Fill one block [1000, ...], then append stragglers below FirstTu.
 	for i := 0; i < BlockSize; i++ {
 		l.Append(nil, Pair{Td: int64(i), Tu: 1000 + int64(i)}, 0)
@@ -136,7 +137,7 @@ func TestListStraddleAndRepack(t *testing.T) {
 }
 
 func TestListDedupe(t *testing.T) {
-	l := NewList(false, false)
+	l := NewList(false)
 	l.Append(nil, Pair{Td: 1, Tu: 10}, 0)
 	l.Append(nil, Pair{Td: 1, Tu: 10}, 0)
 	l.Append(nil, Pair{Td: 2, Tu: 5}, 0) // out of order
@@ -153,25 +154,8 @@ func TestListDedupe(t *testing.T) {
 	}
 }
 
-func TestListPlainEscapeHatch(t *testing.T) {
-	l := NewList(true, false)
-	n := BlockSize * 4
-	for i := 0; i < n; i++ {
-		l.Append(nil, Pair{Td: int64(i), Tu: int64(i * 2)}, 0)
-	}
-	if len(l.Blocks()) != 0 {
-		t.Fatalf("plain list compressed: %d blocks", len(l.Blocks()))
-	}
-	if l.Len() != n {
-		t.Fatalf("Len = %d want %d", l.Len(), n)
-	}
-	if td, _, _, ok := l.Find(10); !ok || td != 5 {
-		t.Fatalf("Find(10) = %d,%v", td, ok)
-	}
-}
-
 func TestListSplit(t *testing.T) {
-	l := NewList(false, false)
+	l := NewList(false)
 	n := BlockSize*2 + 40
 	for i := 0; i < n; i++ {
 		l.Append(nil, Pair{Td: int64(i), Tu: int64(i + 1)}, 0)
@@ -215,7 +199,7 @@ func TestListSplitShortTailStraddler(t *testing.T) {
 	// blocks are appended after the moved sealed blocks and the flushed
 	// sequence is unsorted and overlapping — FindBlocks then misses the
 	// straggler's pair permanently.
-	l := NewList(false, false)
+	l := NewList(false)
 	for i := 0; i < BlockSize; i++ {
 		l.Append(nil, Pair{Td: int64(i), Tu: 1100 + int64(i)}, 0)
 	}
@@ -242,7 +226,7 @@ func TestListSplitShortTailStraddler(t *testing.T) {
 }
 
 func TestWriteReadBlocks(t *testing.T) {
-	l := NewList(false, true)
+	l := NewList(true)
 	n := BlockSize + 30
 	for i := 0; i < n; i++ {
 		l.Append(nil, Pair{Td: int64(i * 3), Tu: int64(i*3 + 2)}, int32(i%5))
@@ -279,7 +263,7 @@ func TestWriteReadBlocks(t *testing.T) {
 
 func TestArenaRecycling(t *testing.T) {
 	ar := NewArena()
-	l := NewList(false, false)
+	l := NewList(false)
 	for i := 0; i < BlockSize*10; i++ {
 		l.Append(ar, Pair{Td: int64(i), Tu: int64(i)}, 0)
 	}
@@ -300,22 +284,22 @@ func TestArenaRecycling(t *testing.T) {
 func TestCompressionRatio(t *testing.T) {
 	// A loop-like dependence stream (small regular deltas) must compress
 	// far below 16 bytes/pair.
-	l := NewList(false, false)
+	l := NewList(false)
 	n := BlockSize * 8
 	for i := 0; i < n; i++ {
 		tu := int64(i*7 + 3)
 		l.Append(nil, Pair{Td: tu - 5, Tu: tu}, 0)
 	}
-	plain := int64(n * 16)
-	if got := l.MemBytes(); got*2 > plain {
-		t.Fatalf("MemBytes = %d, want < half of plain %d", got, plain)
+	flat := int64(n * 16)
+	if got := l.MemBytes(); got*2 > flat {
+		t.Fatalf("MemBytes = %d, want < half of 16 B/pair, %d", got, flat)
 	}
 }
 
 func TestListRandomizedFind(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		l := NewList(false, false)
+		l := NewList(false)
 		var ref []Pair
 		tu := int64(0)
 		n := rng.Intn(BlockSize * 4)
@@ -405,26 +389,40 @@ func TestBlockWideColumns(t *testing.T) {
 	}
 }
 
-// TestListProbesAreComparisons: a probe is one Tu comparison in either
-// layout, so a hit in a compact list costs about log2 of its length, like
-// the flat binary search.
+// TestListProbesAreComparisons: a probe is one Tu comparison, so a hit in
+// a compact list costs about log2 of its length, like a binary search of
+// the flat pairs would.
 func TestListProbesAreComparisons(t *testing.T) {
 	n := BlockSize * 16
-	compact, plain := NewList(false, false), NewList(true, false)
+	l := NewList(false)
 	for i := 0; i < n; i++ {
-		p := Pair{Td: int64(i), Tu: int64(3*i + 1)}
-		compact.Append(nil, p, 0)
-		plain.Append(nil, p, 0)
+		l.Append(nil, Pair{Td: int64(i), Tu: int64(3*i + 1)}, 0)
 	}
+	limit := int64(bits.Len(uint(n-1))) + 4 // ceil(log2 n) + 4
 	for _, tu := range []int64{1, int64(3*n/2 + 1), int64(3*n - 2)} {
-		_, _, cp, ok := compact.Find(tu)
-		_, _, pp, ok2 := plain.Find(tu)
-		if !ok || !ok2 {
+		_, _, probes, ok := l.Find(tu)
+		if !ok {
 			t.Fatalf("Find(%d) missed", tu)
 		}
-		if cp < 4 || cp > 16 || pp < 4 || pp > 16 {
-			t.Fatalf("Find(%d) probes compact %d, plain %d; want ~log2(%d) each", tu, cp, pp, n)
+		if probes < 1 || probes > limit {
+			t.Fatalf("Find(%d) probes %d; want 1..%d (~log2(%d))", tu, probes, limit, n)
 		}
+	}
+}
+
+// TestDecodeListRejectsFlatBit: bit 0 of a serialized list's flags marked
+// the retired flat layout; DecodeList must reject a list that sets it.
+func TestDecodeListRejectsFlatBit(t *testing.T) {
+	l := NewList(true)
+	l.Append(nil, Pair{Td: 1, Tu: 2}, 3)
+	data := AppendList(nil, &l)
+	if _, _, err := DecodeList(data); err != nil {
+		t.Fatal(err)
+	}
+	data[0] |= 1
+	var ce *CorruptError
+	if _, _, err := DecodeList(data); !errors.As(err, &ce) || ce.Class != ClassBadBlock {
+		t.Fatalf("DecodeList with bit 0 set: %v, want %s", err, ClassBadBlock)
 	}
 }
 
@@ -490,7 +488,7 @@ func TestCorruptBlockHeaders(t *testing.T) {
 // accepts must answer Find and Pairs without panicking.
 func FuzzDecodeList(f *testing.F) {
 	for _, aux := range []bool{false, true} {
-		l := NewList(false, aux)
+		l := NewList(aux)
 		for i := 0; i < BlockSize+20; i++ {
 			l.Append(nil, Pair{Td: int64(i), Tu: int64(2*i + 1)}, int32(i%7))
 		}

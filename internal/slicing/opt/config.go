@@ -58,13 +58,6 @@ type Config struct {
 	// fall back to explicit labels.
 	AdaptiveDeltas bool
 
-	// PlainLabels disables the delta-varint block compression of label
-	// lists and stores flat []Pair slices instead — the -compact=false
-	// escape hatch, kept as the uncompacted baseline for the memory
-	// experiment. The zero value (false) means compact storage, so every
-	// existing Config keeps the new layout by default.
-	PlainLabels bool
-
 	// MinPathFreq is the minimum profile frequency for a Ball-Larus path
 	// to be specialized (the paper specializes every path with non-zero
 	// frequency, i.e. 1).

@@ -26,9 +26,8 @@ type Pair struct {
 // of a simultaneity cluster (OPT-3 / OPT-6). Pairs arrive in Tu order
 // except when a recursive call suspends and resumes a superblock-node
 // execution, so lookups seal lazily on first use after an out-of-order
-// append. A shared list dedupes repeated pairs. Storage is the delta-varint
-// block encoding of labelblock (a plain flat []Pair under
-// Config.PlainLabels, the -compact=false escape hatch).
+// append. A shared list dedupes repeated pairs. Storage is labelblock's
+// bit-packed block layout.
 type Labels struct {
 	id      int32 // index in the graph's label registry (epoch file key)
 	list    labelblock.List
@@ -439,7 +438,7 @@ func (g *Graph) newLabels(shared, isCD bool) *Labels {
 	}
 	g.labelSlab = append(g.labelSlab, Labels{
 		id:     int32(len(g.allLabels)),
-		list:   labelblock.NewList(g.cfg.PlainLabels, false),
+		list:   labelblock.NewList(false),
 		shared: shared,
 		isCD:   isCD,
 	})

@@ -42,7 +42,8 @@ const (
 	cfgShareCDData
 	cfgShortcuts
 	cfgAdaptiveDeltas
-	cfgPlainLabels
+	// The next bit marked the retired flat label layout; LoadSnapshot
+	// rejects it with every other unknown bit.
 )
 
 func (c Config) bits() uint64 {
@@ -61,7 +62,6 @@ func (c Config) bits() uint64 {
 	set(c.ShareCDData, cfgShareCDData)
 	set(c.Shortcuts, cfgShortcuts)
 	set(c.AdaptiveDeltas, cfgAdaptiveDeltas)
-	set(c.PlainLabels, cfgPlainLabels)
 	return b
 }
 
@@ -76,7 +76,6 @@ func configFromBits(b uint64) Config {
 		ShareCDData:    b&cfgShareCDData != 0,
 		Shortcuts:      b&cfgShortcuts != 0,
 		AdaptiveDeltas: b&cfgAdaptiveDeltas != 0,
-		PlainLabels:    b&cfgPlainLabels != 0,
 	}
 }
 
@@ -238,7 +237,7 @@ func LoadSnapshot(p *ir.Program, data []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if bits >= cfgPlainLabels<<1 {
+	if bits >= cfgAdaptiveDeltas<<1 {
 		return nil, labelblock.Corrupt(labelblock.ClassBadBlock, "opt: unknown config bits %#x", bits)
 	}
 	cfg := configFromBits(bits)

@@ -18,7 +18,7 @@ import (
 //   - Input: the input vector and step budget — a different execution
 //     builds a different dyDG.
 //   - Config: the graph-shaping knobs (OPT stage selection, shortcuts,
-//     adaptive deltas, plain vs. compact labels, tracked criteria) plus
+//     adaptive deltas, tracked criteria) plus
 //     the format version — anything that changes either the bytes on
 //     disk or the graph they decode into.
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -97,13 +98,20 @@ func keyOf(t *testing.T, raw []byte) snapshot.Key {
 // directory (offset, length within raw).
 func section(t *testing.T, raw []byte, id uint32) []byte {
 	t.Helper()
+	e := dirEntry(t, raw, id)
+	off := binary.LittleEndian.Uint64(e[4:12])
+	ln := binary.LittleEndian.Uint64(e[12:20])
+	return raw[off : off+ln]
+}
+
+// dirEntry returns the directory entry of a section id: id, offset,
+// length, CRC-32.
+func dirEntry(t *testing.T, raw []byte, id uint32) []byte {
+	t.Helper()
 	n := binary.LittleEndian.Uint32(raw[5:9])
 	for i := 0; i < int(n); i++ {
-		e := raw[9+i*24:]
-		if binary.LittleEndian.Uint32(e[0:4]) == id {
-			off := binary.LittleEndian.Uint64(e[4:12])
-			ln := binary.LittleEndian.Uint64(e[12:20])
-			return raw[off : off+ln]
+		if e := raw[9+i*24 : 9+(i+1)*24]; binary.LittleEndian.Uint32(e[0:4]) == id {
+			return e
 		}
 	}
 	t.Fatalf("section %d not found", id)
@@ -171,7 +179,62 @@ func TestVersion1Image(t *testing.T) {
 	if _, err := readBack(t, path, keyOf(t, raw)); snapshot.Classify(err) != labelblock.ClassBadVersion {
 		t.Fatalf("Classify = %q (%v), want %q", snapshot.Classify(err), err, labelblock.ClassBadVersion)
 	}
+	checkFallback(t, path, labelblock.ClassBadVersion)
+}
 
+// TestRetiredFlatLayout: an image of the retired flat label layout set
+// the FP section's layout byte and bit 9 of OPT's config bits. Each
+// loader must reject its flag as ClassBadBlock, and Record must count the
+// failure and rebuild.
+func TestRetiredFlatLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		id   uint32 // section
+		set  func(t *testing.T, sec []byte)
+	}{
+		{"fp", 3, func(t *testing.T, sec []byte) {
+			off := 0
+			for range 3 { // timestamp counter, data and cd pair counts
+				_, n := binary.Uvarint(sec[off:])
+				off += n
+			}
+			if sec[off] != 0 {
+				t.Fatalf("layout byte = %d, want 0", sec[off])
+			}
+			sec[off] = 1
+		}},
+		{"opt", 4, func(t *testing.T, sec []byte) {
+			bits, n := binary.Uvarint(sec)
+			set := binary.AppendUvarint(nil, bits|1<<9)
+			if bits&(1<<9) != 0 || len(set) != n {
+				t.Fatalf("config bits %#x: bit 9 already set or not settable in place", bits)
+			}
+			copy(sec, set)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path, raw := buildSnapshot(t)
+			key := keyOf(t, raw)
+			sec := section(t, raw, tc.id)
+			tc.set(t, sec)
+			// Re-checksum the section so the edit reaches its decoder.
+			binary.LittleEndian.PutUint32(dirEntry(t, raw, tc.id)[20:24], crc32.ChecksumIEEE(sec))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := readBack(t, path, key); snapshot.Classify(err) != labelblock.ClassBadBlock {
+				t.Fatalf("Classify = %q (%v), want %q", snapshot.Classify(err), err, labelblock.ClassBadBlock)
+			}
+			checkFallback(t, path, labelblock.ClassBadBlock)
+		})
+	}
+}
+
+// checkFallback records tinySrc with the snapshot cache pointed at the
+// unreadable image at path: Record must count one failure of class and
+// rebuild, answering the slice a fresh recording answers.
+func checkFallback(t *testing.T, path, class string) {
+	t.Helper()
 	p, err := slicer.Compile(tinySrc)
 	if err != nil {
 		t.Fatal(err)
@@ -191,14 +254,14 @@ func TestVersion1Image(t *testing.T) {
 	opts.Snapshot = slicer.SnapshotOptions{Dir: filepath.Dir(path), Read: true}
 	rec, err := p.Record(opts)
 	if err != nil {
-		t.Fatalf("a version-1 image must fall back, got error: %v", err)
+		t.Fatalf("an unreadable image must fall back, got error: %v", err)
 	}
 	defer rec.Close()
 	if rec.Source() != "build" {
 		t.Fatalf("Source = %q, want a rebuild", rec.Source())
 	}
-	if n := reg.Counter("snapshot.read.err." + labelblock.ClassBadVersion).Value(); n != 1 {
-		t.Fatalf("snapshot.read.err.%s = %d, want 1", labelblock.ClassBadVersion, n)
+	if n := reg.Counter("snapshot.read.err." + class).Value(); n != 1 {
+		t.Fatalf("snapshot.read.err.%s = %d, want 1", class, n)
 	}
 	got, err := rec.OPT().SliceVar("out")
 	if err != nil {

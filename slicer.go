@@ -82,11 +82,6 @@ type RunOptions struct {
 	TraceDir string  // where the trace file is written (default: temp dir)
 	// OptConfig overrides the OPT configuration (default: opt.Full()).
 	OptConfig *opt.Config
-	// PlainLabels disables the bit-packed block compaction of dependence
-	// labels in the FP and OPT graphs (the -compact=false escape hatch;
-	// see docs/PERFORMANCE.md "Memory layout"). Slices are identical either
-	// way.
-	PlainLabels bool
 	// SequentialBuild disables the pipelined build: graph builders run
 	// inline on the interpreter's goroutine instead of concurrently on
 	// batched event feeds. The graphs are identical either way (see
@@ -198,7 +193,6 @@ type Recording struct {
 	input       []int64
 	maxSteps    int64
 	totalBlocks int64
-	fpPlain     bool
 
 	// Deferred graph construction (RunOptions.DeferGraphs): fpG/optG stay
 	// nil until first use; buildMu serializes the lazy builds and guards
@@ -231,9 +225,6 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace) (*Recording, error) {
 	if o.OptConfig != nil {
 		rec.optCfg = *o.OptConfig
 	}
-	if o.PlainLabels {
-		rec.optCfg.PlainLabels = true
-	}
 	span := o.Telemetry.StartSpan("record")
 	defer span.End()
 
@@ -252,7 +243,7 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace) (*Recording, error) {
 			key = snapshot.Key{
 				Program: snapshot.HashProgram(p.ir),
 				Input:   snapshot.HashInput(o.Input, o.MaxSteps),
-				Config:  snapshot.HashConfig(configFingerprint(rec.optCfg, o.PlainLabels, o.TrackCriteria)),
+				Config:  snapshot.HashConfig(configFingerprint(rec.optCfg, o.TrackCriteria)),
 			}
 		}
 	}
@@ -316,7 +307,6 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace) (*Recording, error) {
 	// graphs are replay-built on demand); a snapshot write needs them
 	// now, so it overrides the deferral.
 	rec.deferred = o.DeferGraphs && !(cache != nil && o.Snapshot.Write)
-	rec.fpPlain = o.PlainLabels
 	sink := trace.Multi{tw}
 	var picker *trace.CritPicker
 	if o.TrackCriteria > 0 {
@@ -325,7 +315,6 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace) (*Recording, error) {
 	var asyncs []*trace.Async
 	if !rec.deferred {
 		rec.fpG = fp.NewGraph(p.ir)
-		rec.fpG.SetPlainLabels(o.PlainLabels)
 		rec.fpG.SetTelemetry(o.Telemetry)
 		rec.optG = opt.NewGraph(p.ir, rec.optCfg, rec.hot, rec.cuts)
 		rec.optG.SetTelemetry(o.Telemetry)
@@ -441,8 +430,8 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace) (*Recording, error) {
 // therefore the snapshot bytes) into the stable string the cache key's
 // Config digest covers. Telemetry, logging, and build parallelism are
 // deliberately absent: they do not change the graph.
-func configFingerprint(cfg opt.Config, fpPlain bool, trackCriteria int) string {
-	return fmt.Sprintf("opt=%+v|fpplain=%t|crit=%d", cfg, fpPlain, trackCriteria)
+func configFingerprint(cfg opt.Config, trackCriteria int) string {
+	return fmt.Sprintf("opt=%+v|crit=%d", cfg, trackCriteria)
 }
 
 // loadSnapshot tries to answer Record from the cache. It returns nil on
@@ -696,7 +685,6 @@ func (r *Recording) ensureFP() (*fp.Graph, error) {
 	}
 	span := r.tel.StartSpan("fp-deferred-build")
 	g := fp.NewGraph(r.p.ir)
-	g.SetPlainLabels(r.fpPlain)
 	g.SetTelemetry(r.tel)
 	if err := r.replayInto(g); err != nil {
 		r.fpErr = fmt.Errorf("slicer: deferred FP build: %w", err)

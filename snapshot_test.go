@@ -147,16 +147,16 @@ func TestSnapshotKeyMiss(t *testing.T) {
 	if second.Source() != "build" {
 		t.Fatal("different input must not hit the cache")
 	}
-	plain, err := p.Record(slicer.RunOptions{
-		Input: snapshotInput, PlainLabels: true,
+	tracked, err := p.Record(slicer.RunOptions{
+		Input: snapshotInput, TrackCriteria: 4,
 		Snapshot: slicer.SnapshotOptions{Dir: dir, Read: true, Write: false},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
-	if plain.Source() != "build" {
-		t.Fatal("different label layout must not hit the cache")
+	defer tracked.Close()
+	if tracked.Source() != "build" {
+		t.Fatal("different config must not hit the cache")
 	}
 }
 
