@@ -99,54 +99,55 @@ func newEngine(r *Recording, o EngineOptions) *QueryEngine {
 // can answer the query shape.
 var errNoBackend = errors.New("slicer: no backend available for this query")
 
-// dispatch plans one query shape and walks the fallback ladder: the
-// chosen backend first, then the remaining candidates cheapest-first.
-// Backend faults (a desynced re-execution, a missing trace file) move
-// down the ladder; criterion errors are terminal — every backend would
-// reject the same address the same way, because answers never differ.
+// dispatch walks one query's fallback ladder until a rung answers.
+// A fixed engine's ladder is its one backend, with no plan and no
+// attempt span: the execution span nests directly under the root. A
+// planned engine plans the query shape and tries the chosen backend
+// first, then the remaining candidates cheapest-first. Backend faults
+// (a desynced re-execution, a missing trace file) move down the ladder;
+// criterion errors are terminal — every backend would reject the same
+// address the same way, because answers never differ.
 //
-// The query's causal trace records the walk as it happens: a "plan"
-// span carrying the decision (chosen backend, reason, per-backend cost
-// estimates), then one "attempt/<backend>" span per rung — each with an
-// "acquire" child covering backend acquisition (which is where deferred
-// graphs get built) — ending with the error class that demoted it, or
-// cleanly for the rung that answered.
+// The query's causal trace records a planned walk as it happens: a
+// "plan" span carrying the decision (chosen backend, reason,
+// per-backend cost estimates), then one "attempt/<backend>" span per
+// rung — each with an "acquire" child covering backend acquisition
+// (which is where deferred graphs get built) — ending with the error
+// class that demoted it, or cleanly for the rung that answered.
 func (e *QueryEngine) dispatch(qt *qtrace.Trace, shape plan.Shape, run func(*Slicer) error) error {
-	d := e.rec.PlanFor(shape)
-	if qt != nil {
-		psp := qt.Root().Child("plan").Str("backend", d.Backend).Str("reason", d.Reason)
-		for _, name := range plannedCostOrder(d.CostMs) {
-			psp.Str("cost/"+name, fmt.Sprintf("%.3fms", d.CostMs[name]))
+	var d plan.Decision
+	var ladder []string
+	if e.s != nil {
+		ladder = []string{e.s.name}
+	} else {
+		d = e.rec.PlanFor(shape)
+		if qt != nil {
+			psp := qt.Root().Child("plan").Str("backend", d.Backend).Str("reason", d.Reason)
+			for _, name := range plannedCostOrder(d.CostMs) {
+				psp.Str("cost/"+name, fmt.Sprintf("%.3fms", d.CostMs[name]))
+			}
+			psp.End()
+			qt.SetPlan(d.Backend)
 		}
-		psp.End()
-		qt.SetPlan(d.Backend)
+		if d.Backend == "" {
+			qt.SetError(querylog.Classify(errNoBackend))
+			return errNoBackend
+		}
+		ladder = d.Ladder()
 	}
-	if d.Backend == "" {
-		qt.SetError(querylog.Classify(errNoBackend))
-		return errNoBackend
-	}
-	ladder := d.Ladder()
 	var lastErr error
 	for i, name := range ladder {
-		asp := qt.Root().Child("attempt/" + name)
-		acq := asp.Child("acquire")
-		s := e.rec.backendSlicer(name)
+		s, asp := e.rung(qt, name)
 		if s == nil {
-			acq.End()
 			asp.EndErr("unavailable")
 			continue
 		}
-		acq.End()
-		// Each attempt gets a fresh *Slicer stamped with the plan (and
-		// the trace), so concurrent dispatches never share mutable
-		// attribution state.
 		s.plan = d.Backend
 		if i == 0 {
 			s.planReason = d.Reason
 		} else {
 			s.planReason = fmt.Sprintf("fallback from %s: %v", ladder[i-1], lastErr)
 		}
-		s.qt, s.qspan = qt, asp
 		err := run(s)
 		if err == nil {
 			asp.End()
@@ -163,6 +164,26 @@ func (e *QueryEngine) dispatch(qt *qtrace.Trace, shape plan.Shape, run func(*Sli
 	}
 	qt.SetError(querylog.Classify(lastErr))
 	return lastErr
+}
+
+// rung returns a fresh slicer for one ladder step, stamped with the
+// query's trace, so concurrent dispatches never share mutable
+// attribution state, together with the step's attempt span (inert for
+// a fixed engine).
+func (e *QueryEngine) rung(qt *qtrace.Trace, name string) (*Slicer, qtrace.SpanRef) {
+	if e.s != nil {
+		s := *e.s
+		s.qt, s.qspan = qt, qt.Root()
+		return &s, qtrace.SpanRef{}
+	}
+	asp := qt.Root().Child("attempt/" + name)
+	acq := asp.Child("acquire")
+	s := e.rec.backendSlicer(name)
+	acq.End()
+	if s != nil {
+		s.qt, s.qspan = qt, asp
+	}
+	return s, asp
 }
 
 // plannedCostOrder returns the cost map's backends in a stable order so
@@ -223,72 +244,13 @@ func (e *QueryEngine) tally(hits, misses int64) {
 	}
 }
 
-// logHit audits one cache-served query: the flight recorder gets a
-// fresh query ID with CacheHit set, while the slice keeps the ID of the
-// query that originally computed it.
-func (e *QueryEngine) logHit(addr int64, sl *Slice, backend, kind string, batch int, start time.Time, tid qtrace.TraceID) {
-	rec := e.rec
-	if !rec.queryObserved() {
-		return
-	}
-	rec.logQuery(querylog.Record{
-		ID: rec.qlog.NextID(), Start: start, Backend: backend, Kind: kind,
-		Addr: addr, Batch: batch, Latency: time.Since(start), CacheHit: true,
-		Stmts: sl.Stmts, Lines: len(sl.Lines), TraceID: tid,
-	})
-}
-
 // SliceAddr answers one address criterion, consulting the cache first.
 func (e *QueryEngine) SliceAddr(addr int64) (*Slice, error) {
-	var start time.Time
-	if e.rec.queryObserved() {
-		start = time.Now()
-	}
-	qt := e.rec.qtr.StartQuery(querylog.KindSlice, addr, 0)
-	if sl, backend, ok := e.lookup(addr); ok {
-		e.tally(1, 0)
-		qt.SetCacheHit()
-		qt.SetBackend(backend)
-		e.logHit(addr, sl, backend, querylog.KindSlice, 0, start, qt.ID())
-		e.rec.finishTrace(qt)
-		return sl, nil
-	}
-	e.tally(0, 1)
-	qt.SetCacheMiss()
-	var sl *Slice
-	var backend string
-	var err error
-	if e.s != nil {
-		backend = e.s.name
-		sl, err = e.s.withTrace(qt, qt.Root()).SliceAddr(addr)
-		e.noteFixed(qt, backend, err)
-	} else {
-		err = e.dispatch(qt, plan.Shape{Kind: plan.KindSlice, Batch: 1}, func(s *Slicer) error {
-			var rerr error
-			sl, rerr = s.SliceAddr(addr)
-			backend = s.name
-			return rerr
-		})
-	}
-	e.rec.finishTrace(qt)
+	outs, err := e.slice(querylog.KindSlice, []int64{addr})
 	if err != nil {
 		return nil, err
 	}
-	e.insert(addr, sl, backend)
-	return sl, nil
-}
-
-// noteFixed stamps a fixed-backend query's outcome on its trace
-// (dispatch does this for planned queries).
-func (e *QueryEngine) noteFixed(qt *qtrace.Trace, backend string, err error) {
-	if qt == nil {
-		return
-	}
-	if err != nil {
-		qt.SetError(querylog.Classify(err))
-		return
-	}
-	qt.SetBackend(backend)
+	return outs[0], nil
 }
 
 // SliceVar is SliceAddr on a global scalar variable.
@@ -311,19 +273,12 @@ func (e *QueryEngine) Explain(addr int64) (*Explanation, error) {
 	qt := e.rec.qtr.StartQuery(querylog.KindExplain, addr, 0)
 	var ex *Explanation
 	var backend string
-	var err error
-	if e.s != nil {
-		backend = e.s.name
-		ex, err = e.s.withTrace(qt, qt.Root()).ExplainAddr(addr)
-		e.noteFixed(qt, backend, err)
-	} else {
-		err = e.dispatch(qt, plan.Shape{Kind: plan.KindExplain, Batch: 1}, func(s *Slicer) error {
-			var rerr error
-			ex, rerr = s.ExplainAddr(addr)
-			backend = s.name
-			return rerr
-		})
-	}
+	err := e.dispatch(qt, plan.Shape{Kind: plan.KindExplain, Batch: 1}, func(s *Slicer) error {
+		var rerr error
+		ex, rerr = s.ExplainAddr(addr)
+		backend = s.name
+		return rerr
+	})
 	e.rec.finishTrace(qt)
 	if err != nil {
 		return nil, err
@@ -353,28 +308,49 @@ func (e *QueryEngine) SliceAddrs(addrs []int64) ([]*Slice, error) {
 	if len(addrs) == 0 {
 		return nil, nil
 	}
+	return e.slice(querylog.KindBatch, addrs)
+}
+
+// slice answers a single query (kind slice, one address) or a batch
+// through the cache: every hit is reported as its own cache-hit event,
+// and the distinct misses, sorted, are answered by one dispatch.
+func (e *QueryEngine) slice(kind string, addrs []int64) ([]*Slice, error) {
+	batch := 0
+	if kind == querylog.KindBatch {
+		batch = len(addrs)
+	}
 	var start time.Time
 	if e.rec.queryObserved() {
 		start = time.Now()
 	}
-	qt := e.rec.qtr.StartQuery(querylog.KindBatch, addrs[0], len(addrs))
+	qt := e.rec.qtr.StartQuery(kind, addrs[0], batch)
 	outs := make([]*Slice, len(addrs))
-	var missSet = make(map[int64][]int) // addr -> positions in addrs
+	missSet := make(map[int64][]int) // addr -> positions in addrs
 	var hits int64
 	for i, a := range addrs {
-		if sl, backend, ok := e.lookup(a); ok {
-			outs[i] = sl
-			hits++
-			e.logHit(a, sl, backend, querylog.KindBatch, len(addrs), start, qt.ID())
+		sl, backend, ok := e.lookup(a)
+		if !ok {
+			missSet[a] = append(missSet[a], i)
 			continue
 		}
-		missSet[a] = append(missSet[a], i)
+		outs[i] = sl
+		hits++
+		// A single query's hit answers it whole, so its event owns the
+		// trace; a batch's hits share the batch's trace.
+		e.rec.finish(&queryEvent{
+			kind: kind, addrs: addrs[i : i+1], batch: batch, backend: backend,
+			start: start, elapsed: time.Since(start), cacheHit: true,
+			slices: outs[i : i+1], qt: qt, owned: batch == 0,
+		})
 	}
 	e.tally(hits, int64(len(missSet)))
 	if len(missSet) == 0 {
-		// The whole batch came from the cache.
-		qt.SetCacheHit()
-		e.rec.finishTrace(qt)
+		// Every criterion hit. A single query's hit event has already
+		// finished its trace; a batch's trace is finished here.
+		if batch > 0 {
+			qt.SetCacheHit()
+			e.rec.finishTrace(qt)
+		}
 		return outs, nil
 	}
 	qt.SetCacheMiss()
@@ -386,33 +362,21 @@ func (e *QueryEngine) SliceAddrs(addrs []int64) ([]*Slice, error) {
 	// criteria share a 64-bit mask chunk.
 	sort.Slice(miss, func(i, j int) bool { return miss[i] < miss[j] })
 
-	var slices []*Slice
-	var backend string
-	var err error
-	if e.s != nil {
-		backend = e.s.name
-		if sw, ok := e.s.impl.(interface{ SetWorkers(int) }); ok {
+	// Query-log kinds and plan shape kinds share their names.
+	var ev *queryEvent
+	err := e.dispatch(qt, plan.Shape{Kind: kind, Batch: len(miss)}, func(s *Slicer) error {
+		if sw, ok := s.impl.(interface{ SetWorkers(int) }); ok {
 			sw.SetWorkers(e.workers)
 		}
-		slices, err = e.s.withTrace(qt, qt.Root()).SliceAddrs(miss)
-		e.noteFixed(qt, backend, err)
-	} else {
-		err = e.dispatch(qt, plan.Shape{Kind: plan.KindBatch, Batch: len(miss)}, func(s *Slicer) error {
-			if sw, ok := s.impl.(interface{ SetWorkers(int) }); ok {
-				sw.SetWorkers(e.workers)
-			}
-			var rerr error
-			slices, rerr = s.SliceAddrs(miss)
-			backend = s.name
-			return rerr
-		})
-	}
+		ev = s.run(kind, miss, nil)
+		return ev.err
+	})
 	e.rec.finishTrace(qt)
 	if err != nil {
 		return nil, err
 	}
-	for k, sl := range slices {
-		e.insert(miss[k], sl, backend)
+	for k, sl := range ev.slices {
+		e.insert(miss[k], sl, ev.backend)
 		for _, pos := range missSet[miss[k]] {
 			outs[pos] = sl
 		}

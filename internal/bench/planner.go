@@ -223,7 +223,7 @@ func measurePlanner(res *Result) (PlannerBench, error) {
 		}
 		d := plan.Decide(feats, plan.Shape{Kind: plan.KindSlice, Batch: 1}, av, rec.Snapshot())
 		chosen := times[d.Backend]
-		rec.ObserveQuery(d.Backend, chosen, 0, false, false)
+		rec.ObserveCost(d.Backend, chosen)
 		pb.Chosen[d.Backend]++
 		if best > 0 {
 			perQuery = append(perQuery, float64(chosen)/float64(best))

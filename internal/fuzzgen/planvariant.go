@@ -38,8 +38,10 @@ func (pv *planVariant) Slice(c slicing.Criterion) (*slicing.Slice, *slicing.Stat
 		}
 		t0 := time.Now()
 		sl, st, err := s.Slice(c)
-		pv.stats.ObserveQuery(name, time.Since(t0), 0, false, err != nil)
+		took := time.Since(t0)
+		pv.stats.ObserveQuery(name, took, 0, false, err != nil)
 		if err == nil {
+			pv.stats.ObserveCost(name, took)
 			return sl, st, nil
 		}
 		if querylog.Classify(err) == "bad_criterion" {

@@ -238,7 +238,7 @@ func (f *Slicer) Slice(c slicing.Criterion) (*slicing.Slice, *slicing.Stats, err
 	}
 	id, ok := f.mem[c.Addr]
 	if !ok {
-		return nil, nil, fmt.Errorf("forward: address %d was never defined", c.Addr)
+		return nil, nil, fmt.Errorf("forward: address %d %w", c.Addr, slicing.ErrUndefined)
 	}
 	out := slicing.NewSlice()
 	for _, s := range f.st.sets[id] {

@@ -318,7 +318,7 @@ func (g *Graph) SliceObserved(c slicing.Criterion, rec *explain.Recorder) (*slic
 	} else {
 		d, ok := g.defOf(c.Addr)
 		if !ok {
-			return nil, nil, fmt.Errorf("fp: address %d was never defined", c.Addr)
+			return nil, nil, fmt.Errorf("fp: address %d %w", c.Addr, slicing.ErrUndefined)
 		}
 		start = d
 	}

@@ -36,7 +36,7 @@ func (g *Graph) SliceAll(cs []slicing.Criterion) ([]*slicing.Slice, *slicing.Sta
 		} else {
 			d, ok := g.defOf(c.Addr)
 			if !ok {
-				return nil, nil, fmt.Errorf("fp: address %d was never defined", c.Addr)
+				return nil, nil, fmt.Errorf("fp: address %d %w", c.Addr, slicing.ErrUndefined)
 			}
 			seeds[i] = d
 		}

@@ -300,7 +300,7 @@ func (s *Slicer) sliceAll(cs []slicing.Criterion, obs *explain.Recorder) ([]*sli
 		}
 		for j := 0; j < chunk; j++ {
 			if q.hitMask&(uint64(1)<<j) == 0 {
-				return nil, nil, fmt.Errorf("lp: address %d was never defined", cs[base+j].Addr)
+				return nil, nil, fmt.Errorf("lp: address %d %w", cs[base+j].Addr, slicing.ErrUndefined)
 			}
 			outs[base+j] = q.outs[j]
 		}

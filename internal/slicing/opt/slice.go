@@ -132,7 +132,7 @@ func (g *Graph) SliceObserved(c slicing.Criterion, rec *explain.Recorder) (*slic
 	}
 	d, ok := g.defOf(c.Addr)
 	if !ok {
-		return nil, nil, fmt.Errorf("opt: address %d was never defined", c.Addr)
+		return nil, nil, fmt.Errorf("opt: address %d %w", c.Addr, slicing.ErrUndefined)
 	}
 	return g.SliceAtObserved(d.Loc, d.Ts, rec)
 }

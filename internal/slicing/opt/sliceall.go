@@ -60,7 +60,7 @@ func (g *Graph) SliceAll(cs []slicing.Criterion) ([]*slicing.Slice, *slicing.Sta
 		}
 		d, ok := g.defOf(c.Addr)
 		if !ok {
-			return nil, nil, fmt.Errorf("opt: address %d was never defined", c.Addr)
+			return nil, nil, fmt.Errorf("opt: address %d %w", c.Addr, slicing.ErrUndefined)
 		}
 		seeds[i] = d
 		outs[i] = slicing.NewSlice()

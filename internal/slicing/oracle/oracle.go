@@ -244,7 +244,7 @@ func (o *Slicer) Slice(c slicing.Criterion) (*slicing.Slice, *slicing.Stats, err
 	}
 	start, ok := o.lastDef[c.Addr]
 	if !ok {
-		return nil, nil, fmt.Errorf("oracle: address %d was never defined", c.Addr)
+		return nil, nil, fmt.Errorf("oracle: address %d %w", c.Addr, slicing.ErrUndefined)
 	}
 	out := slicing.NewSlice()
 	stats := &slicing.Stats{}

@@ -7,10 +7,10 @@
 //
 // Costs start from a static model seeded with recording features
 // (trace length, segment count, IR size) and are refined online: once a
-// backend has enough observed queries, its EWMA latency progressively
-// replaces the static estimate. Decisions are deterministic — the same
-// features, shape, availability, and statistics always produce the same
-// Decision.
+// backend has enough uncached slices behind it (stats.ObserveCost), its
+// EWMA per-criterion cost progressively replaces the static estimate.
+// Decisions are deterministic — the same features, shape, availability,
+// and statistics always produce the same Decision.
 package plan
 
 import (
@@ -132,8 +132,8 @@ const (
 	chunkCriteria    = 64.0  // LP/reexec resolve up to 64 criteria per scan
 )
 
-// observeAfter is the evidence threshold: below this many successful
-// queries a backend's statistics carry no weight.
+// observeAfter is the evidence threshold: below this many cost samples
+// (uncached slice and batch calls) a backend's EWMA carries no weight.
 const observeAfter = 3
 
 // fullTrustAt is where observed EWMA fully replaces the static model.
@@ -196,7 +196,7 @@ func calibration(f Features, shape Shape, av Availability, snap *stats.Snapshot)
 	logSum, seen := 0.0, 0
 	for _, b := range []string{FP, OPT, LP, Reexec, Forward} {
 		bs, ok := snap.Backends[b]
-		if !ok || bs.Queries-bs.Errors < observeAfter || bs.EWMAMs <= 0 {
+		if !ok || bs.Samples < observeAfter || bs.EWMAMs <= 0 {
 			continue
 		}
 		static := staticCostMs(f, shape, b, av)
@@ -217,7 +217,7 @@ func calibration(f Features, shape Shape, av Availability, snap *stats.Snapshot)
 }
 
 // costMs blends the calibrated static estimate with the backend's
-// observed EWMA latency. Trust ramps linearly with query count; a
+// observed EWMA cost. Trust ramps linearly with the sample count; a
 // backend that has only ever errored is effectively disqualified.
 func costMs(f Features, shape Shape, backend string, av Availability, snap *stats.Snapshot, calib float64) float64 {
 	static := staticCostMs(f, shape, backend, av) * calib
@@ -231,15 +231,14 @@ func costMs(f Features, shape Shape, backend string, av Availability, snap *stat
 	if bs.Queries > 0 && bs.Errors >= bs.Queries {
 		return static * 1e6 // every attempt failed: last resort only
 	}
-	good := bs.Queries - bs.Errors
-	if good < observeAfter {
+	if bs.Samples < observeAfter {
 		return static
 	}
 	n := float64(shape.Batch)
 	if n < 1 {
 		n = 1
 	}
-	w := float64(good) / fullTrustAt
+	w := float64(bs.Samples) / fullTrustAt
 	if w > 1 {
 		w = 1
 	}
@@ -291,8 +290,8 @@ func Decide(f Features, shape Shape, av Availability, snap *stats.Snapshot) Deci
 		reason += fmt.Sprintf(" (next %s %.3fms)", order[1], costs[order[1]])
 	}
 	if snap != nil {
-		if bs, ok := snap.Backends[best]; ok && bs.Queries-bs.Errors >= observeAfter {
-			reason += fmt.Sprintf(", ewma %.3fms over %d queries", bs.EWMAMs, bs.Queries)
+		if bs, ok := snap.Backends[best]; ok && bs.Samples >= observeAfter {
+			reason += fmt.Sprintf(", ewma %.3fms over %d samples", bs.EWMAMs, bs.Samples)
 		} else {
 			reason += ", static seed"
 		}

@@ -45,14 +45,14 @@ func TestDecideFixtures(t *testing.T) {
 		// over many queries, reexec hasn't been tried.
 		{"lp-dominant", bigTrace, Shape{KindSlice, 1}, coldAv,
 			snap(map[string]stats.BackendStats{
-				LP: {Queries: 40, EWMAMs: 0.2},
+				LP: {Queries: 40, Samples: 40, EWMAMs: 0.2},
 			}), LP},
 		// Rare-query archetype with a little history: reexec observed
 		// cheap, graphs still cold — keep re-executing.
 		{"reexec-rare", bigTrace, Shape{KindSlice, 1}, coldAv,
 			snap(map[string]stats.BackendStats{
-				Reexec: {Queries: 5, EWMAMs: 8},
-				LP:     {Queries: 5, EWMAMs: 60},
+				Reexec: {Queries: 5, Samples: 5, EWMAMs: 8},
+				LP:     {Queries: 5, Samples: 5, EWMAMs: 60},
 			}), Reexec},
 		// A huge cold batch amortizes graph construction across thousands
 		// of criteria, while scan backends pay per 64-criterion chunk.
@@ -135,7 +135,8 @@ func TestDecideDeterministic(t *testing.T) {
 		for _, b := range backends {
 			if rng.Intn(2) == 0 {
 				q := rng.Int63n(50)
-				bs[b] = stats.BackendStats{Queries: q, Errors: rng.Int63n(q + 1),
+				errs := rng.Int63n(q + 1)
+				bs[b] = stats.BackendStats{Queries: q, Errors: errs, Samples: q - errs,
 					EWMAMs: rng.Float64() * 100}
 			}
 		}
@@ -172,8 +173,8 @@ func TestDumpGolden(t *testing.T) {
 	got := Dump(bigTrace,
 		Availability{FP: true, OPT: true, LP: true, Reexec: true, Forward: true},
 		snap(map[string]stats.BackendStats{
-			LP:     {Queries: 25, Errors: 1, EWMAMs: 4.25},
-			Reexec: {Queries: 10, EWMAMs: 12.5},
+			LP:     {Queries: 25, Errors: 1, Samples: 24, EWMAMs: 4.25},
+			Reexec: {Queries: 10, Samples: 10, EWMAMs: 12.5},
 		}))
 	golden := filepath.Join("testdata", "dump.golden")
 	if *update {

@@ -4,6 +4,7 @@
 package slicing
 
 import (
+	"errors"
 	"sort"
 
 	"dynslice/internal/ir"
@@ -21,6 +22,13 @@ type Criterion struct {
 	Stmt ir.StmtID
 	TS   int64
 }
+
+// ErrUndefined marks a criterion that names nothing the recorded run
+// defined: an address it never wrote, or a global the program does not
+// declare. Every backend wraps it (keeping the message "<backend>:
+// address N was never defined"), and the query log classifies errors
+// carrying it as bad_criterion.
+var ErrUndefined = errors.New("was never defined")
 
 // AddrCriterion slices on the last definition of address a.
 func AddrCriterion(a int64) Criterion { return Criterion{Addr: a, Stmt: -1, TS: -1} }

@@ -24,15 +24,16 @@ package querylog
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dynslice/internal/slicing"
 	"dynslice/internal/telemetry"
 	"dynslice/internal/telemetry/qtrace"
 )
@@ -99,14 +100,13 @@ type Record struct {
 }
 
 // Classify maps a query error to its audit class: "" for nil,
-// "bad_criterion" for unknown addresses/globals, "internal" otherwise.
+// "bad_criterion" for criteria naming nothing the run defined (errors
+// wrapping slicing.ErrUndefined), "internal" otherwise.
 func Classify(err error) string {
-	if err == nil {
+	switch {
+	case err == nil:
 		return ""
-	}
-	msg := err.Error()
-	if strings.Contains(msg, "no global") || strings.Contains(msg, "never defined") ||
-		strings.Contains(msg, "no definition") {
+	case errors.Is(err, slicing.ErrUndefined):
 		return "bad_criterion"
 	}
 	return "internal"

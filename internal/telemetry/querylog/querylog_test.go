@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dynslice/internal/slicing"
 )
 
 func TestNilLogIsInert(t *testing.T) {
@@ -177,9 +180,10 @@ func TestClassify(t *testing.T) {
 		want string
 	}{
 		{nil, ""},
-		{errors.New(`no global "x"`), "bad_criterion"},
-		{errors.New("address 7 never defined"), "bad_criterion"},
-		{errors.New("no definition of address 9"), "bad_criterion"},
+		{fmt.Errorf("fp: address 7 %w", slicing.ErrUndefined), "bad_criterion"},
+		{fmt.Errorf("engine: %w", fmt.Errorf("lp: address 9 %w", slicing.ErrUndefined)), "bad_criterion"},
+		// Classification is by sentinel: the wording alone is not enough.
+		{errors.New("address 7 was never defined"), "internal"},
 		{errors.New("segment decode failed"), "internal"},
 	}
 	for _, tc := range tests {

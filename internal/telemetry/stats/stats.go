@@ -1,19 +1,18 @@
 // Package stats maintains per-recording rolling workload statistics
 // over the query stream: per-backend latency distributions (power-of-two
-// microsecond buckets with p50/p90/p99 estimates), an exponentially
-// weighted moving average of latency, the batch-size distribution,
-// cache hit rate, and the explicit-vs-inferred edge-resolution ratio of
-// observed queries.
+// microsecond buckets with p50/p90/p99 estimates) over every query, the
+// batch-size distribution, cache hit rate, the explicit-vs-inferred
+// edge-resolution ratio of observed queries, and — fed separately — an
+// exponentially weighted moving average of the per-criterion cost of
+// uncached slices.
 //
-// Snapshot is the feedback input for the ROADMAP's cost-based query
-// planner: given a recording's BackendStats — how fast each of FP, OPT,
-// and LP has actually answered on THIS workload, how much of OPT's
-// resolution was inferred, how batchy the query stream is, and how
-// often the cache already answers — a planner can pick the cheapest
-// backend for the next query instead of assuming the paper's static
-// cost model. Until the planner lands, the same numbers feed the
-// Prometheus exposition (`/metrics` on cmd/slicer's -pprof server) and
-// BENCH_queries.json (`cmd/experiments -exp queries`).
+// Snapshot is the feedback input of the cost-based query planner
+// (internal/slicing/plan): the EWMA and its sample count tell it how
+// fast each backend has actually sliced on THIS workload, so it can pick
+// the cheapest backend for the next query instead of trusting the static
+// cost model alone. The same numbers feed the Prometheus exposition
+// (`/metrics` on cmd/slicer's -pprof server) and BENCH_queries.json
+// (`cmd/experiments -exp queries`).
 //
 // All methods are safe for concurrent use and on a nil *Recorder
 // (recording disabled), mirroring internal/telemetry.
@@ -32,9 +31,9 @@ import (
 	"dynslice/internal/telemetry/qtrace"
 )
 
-// EWMAAlpha is the smoothing factor of the per-backend latency EWMA:
-// each new query contributes 20%, so the average tracks roughly the
-// last ~10 queries — recent enough for a planner to notice a backend
+// EWMAAlpha is the smoothing factor of the per-backend cost EWMA: each
+// new sample contributes 20%, so the average tracks roughly the last
+// ~10 uncached calls — recent enough for a planner to notice a backend
 // going cold (e.g. hybrid epochs evicted) without flapping on one
 // outlier.
 const EWMAAlpha = 0.2
@@ -47,7 +46,8 @@ type backend struct {
 	errors   int64
 	cacheHit int64
 	latSumNS int64
-	ewmaMS   float64
+	ewmaMS   float64              // planner feedback: per-criterion cost of uncached slices
+	samples  int64                // calls folded into ewmaMS
 	lat      [latBuckets]int64    // pow2 buckets of latency in microseconds
 	exemplar [latBuckets]Exemplar // most recent retained trace per bucket
 	observed int64                // explain queries folded in
@@ -92,7 +92,8 @@ func (r *Recorder) backendLocked(name string) *backend {
 // ObserveQuery folds one answered query into the rolling statistics.
 // batch is the enclosing batch size (0 for single queries); cacheHit
 // marks engine LRU hits; errored queries count toward Errors but not
-// the latency distribution.
+// the latency distribution. Every query kind counts here — the planner
+// feedback EWMA is fed separately, by ObserveCost.
 func (r *Recorder) ObserveQuery(backendName string, d time.Duration, batch int, cacheHit, errored bool) {
 	if r == nil {
 		return
@@ -117,18 +118,34 @@ func (r *Recorder) ObserveQuery(backendName string, d time.Duration, batch int, 
 	}
 	b.latSumNS += d.Nanoseconds()
 	b.lat[bits.Len64(uint64(us))]++
-	ms := float64(d.Nanoseconds()) / 1e6
-	if b.queries == 1 {
-		b.ewmaMS = ms
-	} else {
-		b.ewmaMS = EWMAAlpha*ms + (1-EWMAAlpha)*b.ewmaMS
-	}
 	if batch > 1 {
 		r.batch[bits.Len64(uint64(batch))]++
 		r.batches++
 		if int64(batch) > r.batchMax {
 			r.batchMax = int64(batch)
 		}
+	}
+}
+
+// ObserveCost folds one uncached slice or batch call into the
+// backend's planner feedback: perCriterion (the call's wall time
+// divided by its criteria) updates the EWMA, and Samples counts the
+// calls. Cache hits and explain traversals must not come here — the
+// planner prices uncached slicing, and a µs hit or a slower observed
+// traversal would skew that price.
+func (r *Recorder) ObserveCost(backendName string, perCriterion time.Duration) {
+	if r == nil {
+		return
+	}
+	ms := float64(perCriterion.Nanoseconds()) / 1e6
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := r.backendLocked(backendName)
+	b.samples++
+	if b.samples == 1 {
+		b.ewmaMS = ms
+	} else {
+		b.ewmaMS = EWMAAlpha*ms + (1-EWMAAlpha)*b.ewmaMS
 	}
 }
 
@@ -171,10 +188,14 @@ type BackendStats struct {
 	Errors   int64   `json:"errors,omitempty"`
 	CacheHit int64   `json:"cache_hits"`
 	MeanMs   float64 `json:"mean_ms"`
-	EWMAMs   float64 `json:"ewma_ms"`
-	P50Ms    float64 `json:"p50_ms"`
-	P90Ms    float64 `json:"p90_ms"`
-	P99Ms    float64 `json:"p99_ms"`
+	// EWMAMs and Samples are the planner's feedback (ObserveCost): the
+	// smoothed per-criterion cost of uncached slice and batch calls,
+	// and how many calls it has seen.
+	EWMAMs  float64 `json:"ewma_ms"`
+	Samples int64   `json:"ewma_samples"`
+	P50Ms   float64 `json:"p50_ms"`
+	P90Ms   float64 `json:"p90_ms"`
+	P99Ms   float64 `json:"p99_ms"`
 	// Observed queries and their edge attribution (zero unless explain
 	// queries ran on this backend).
 	Observed      int64   `json:"observed,omitempty"`
@@ -236,6 +257,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 			Errors:        b.errors,
 			CacheHit:      b.cacheHit,
 			EWMAMs:        b.ewmaMS,
+			Samples:       b.samples,
 			Observed:      b.observed,
 			ExplicitEdges: b.explicit,
 			InferredEdges: b.inferred,
@@ -340,7 +362,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer, namespace string) error {
 		p("%s_sum{backend=%q} %g\n", fam("query.latency.seconds"), n, float64(b.LatencySumNS())/1e9)
 		p("%s_count{backend=%q} %d\n", fam("query.latency.seconds"), n, cum)
 	}
-	p("# HELP %s EWMA query latency in milliseconds (alpha=%g), by backend.\n",
+	p("# HELP %s EWMA per-criterion cost of uncached slices in milliseconds (alpha=%g), by backend.\n",
 		fam("query.latency.ewma.ms"), EWMAAlpha)
 	p("# TYPE %s gauge\n", fam("query.latency.ewma.ms"))
 	for _, n := range names {

@@ -38,8 +38,9 @@ func TestObserveQueryAggregates(t *testing.T) {
 	if want := (1.0 + 2 + 3 + 10) / 4; math.Abs(opt.MeanMs-want) > 1e-9 {
 		t.Errorf("OPT MeanMs = %v, want %v", opt.MeanMs, want)
 	}
-	if opt.EWMAMs <= 0 {
-		t.Errorf("OPT EWMAMs = %v", opt.EWMAMs)
+	// The planner's EWMA is fed by ObserveCost alone.
+	if opt.EWMAMs != 0 || opt.Samples != 0 {
+		t.Errorf("ObserveQuery fed the planner EWMA: %v over %d samples", opt.EWMAMs, opt.Samples)
 	}
 	// Quantiles in milliseconds must stay within the observed range
 	// (bucket blur allows up to 2x the max).
@@ -63,13 +64,17 @@ func TestObserveQueryAggregates(t *testing.T) {
 
 func TestEWMASeedAndDecay(t *testing.T) {
 	r := New()
-	r.ObserveQuery("LP", 100*time.Millisecond, 0, false, false)
+	r.ObserveCost("LP", 100*time.Millisecond)
 	if got := r.Snapshot().Backends["LP"].EWMAMs; got != 100 {
 		t.Fatalf("EWMA seed = %v, want 100", got)
 	}
-	r.ObserveQuery("LP", 0, 0, false, false)
-	if got, want := r.Snapshot().Backends["LP"].EWMAMs, (1-EWMAAlpha)*100; math.Abs(got-want) > 1e-9 {
+	r.ObserveCost("LP", 0)
+	lp := r.Snapshot().Backends["LP"]
+	if got, want := lp.EWMAMs, (1-EWMAAlpha)*100; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("EWMA after decay = %v, want %v", got, want)
+	}
+	if lp.Samples != 2 || lp.Queries != 0 {
+		t.Fatalf("samples/queries = %d/%d, want 2/0", lp.Samples, lp.Queries)
 	}
 }
 

@@ -204,3 +204,57 @@ func TestEnginePlannerConcurrentHammer(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPlannerFeedbackIgnoresHitsAndExplains: the planner's evidence
+// must measure what it assumes — the per-criterion cost of an uncached
+// slice. Interleaving explain traversals (slower than plain slices) and
+// engine cache hits (microseconds) on other backends must leave the
+// sequence of plan decisions exactly as it is without them.
+func TestPlannerFeedbackIgnoresHitsAndExplains(t *testing.T) {
+	decisions := func(noise bool) []string {
+		p, err := slicer.Compile(engineSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := p.Record(slicer.RunOptions{QueryStats: stats.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close()
+		addrs := engineAddrs(t, rec)
+		planned := rec.Engine(slicer.EngineOptions{CacheSize: -1})
+		fixed := rec.FP().Engine(slicer.EngineOptions{})
+		var got []string
+		for i := 0; i < 40; i++ {
+			a := addrs[i%len(addrs)]
+			d := rec.PlanFor(plan.Shape{Kind: plan.KindSlice, Batch: 1})
+			got = append(got, fmt.Sprintf("%s %v", d.Backend, d.Fallback))
+			if _, err := planned.SliceAddr(a); err != nil {
+				t.Fatal(err)
+			}
+			if !noise {
+				continue
+			}
+			// An explain on FP fills the fixed engine's cache, so the
+			// slices after it are all hits.
+			if _, err := fixed.Explain(a); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 5; k++ {
+				if _, err := fixed.SliceAddr(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := rec.OPT().ExplainAddr(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got
+	}
+	clean, noisy := decisions(false), decisions(true)
+	for i := range clean {
+		if clean[i] != noisy[i] {
+			t.Fatalf("decision %d: %q with explain and cache-hit traffic, %q without", i, noisy[i], clean[i])
+		}
+	}
+}

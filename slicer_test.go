@@ -1,12 +1,15 @@
 package slicer_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	slicer "dynslice"
+	"dynslice/internal/slicing"
 	"dynslice/internal/slicing/opt"
+	"dynslice/internal/telemetry/querylog"
 )
 
 const facadeSrc = `
@@ -190,5 +193,24 @@ func TestRecordFailureLeavesNothing(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "run.trace")); !os.IsNotExist(err) {
 		t.Fatalf("failed Record left run.trace behind: %v", err)
+	}
+}
+
+// TestGlobalAddrUndefined: an undeclared variable name is a bad
+// criterion by sentinel, with the message unchanged.
+func TestGlobalAddrUndefined(t *testing.T) {
+	p, err := slicer.Compile(facadeSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.GlobalAddr("nosuch")
+	if !errors.Is(err, slicing.ErrUndefined) {
+		t.Fatalf("GlobalAddr error %v does not wrap slicing.ErrUndefined", err)
+	}
+	if got, want := err.Error(), `slicer: no global named "nosuch"`; got != want {
+		t.Fatalf("message = %q, want %q", got, want)
+	}
+	if got := querylog.Classify(err); got != "bad_criterion" {
+		t.Fatalf("classified %q, want bad_criterion", got)
 	}
 }
